@@ -54,8 +54,6 @@ func main() {
 		hosts      = flag.Int("hosts", 0, "cluster host count for every run (0 = smallest count that fits each run's ranks)")
 		slots      = flag.Int("slots", 0, "ranks per host (0 = machine profile default)")
 		racks      = flag.Int("racks", 0, "rack count; hosts split into contiguous blocks charged at the inter-rack link tier (0 = one rack)")
-		event      = flag.Bool("event", false, "run every simulated run on the event-driven transport path (fibers on a bounded executor); output is byte-identical to the goroutine path")
-		eventWk    = flag.Int("event-workers", 0, "executor pool size per run for -event (0 = NumCPU)")
 		serve      = flag.String("serve", "", "serve live telemetry over HTTP on this address (e.g. :9090) while the sweep runs: GET /metrics (aggregate registry, growing as batches complete), /debug/ranks (blocked ops of in-flight runs), /healthz")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 		mutexProf  = flag.String("mutexprofile", "", "write a mutex-contention profile of the sweep to this file")
@@ -126,12 +124,6 @@ func main() {
 	opts.Hosts = *hosts
 	opts.SlotsPerHost = *slots
 	opts.Racks = *racks
-	if *eventWk < 0 {
-		fmt.Fprintln(os.Stderr, "experiments: -event-workers must be >= 0")
-		os.Exit(2)
-	}
-	opts.Event = *event
-	opts.EventWorkers = *eventWk
 	if *recModes != "" {
 		modes, err := parseRecoveryModes(*recModes)
 		if err != nil {

@@ -67,8 +67,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		ckptBack  = fs.String("ckpt-backend", "", "checkpoint storage backend for CR: dir (files under a temp directory, default) | mem (in-memory)")
 		ckptGens  = fs.Int("ckpt-generations", 0, "checkpoint generations retained per rank; recovery falls back through them past corrupt or torn blobs (0 = store default)")
 		ckptAsync = fs.Bool("ckpt-async", false, "write checkpoints on a per-store write-behind goroutine; results are bit-identical, only real I/O overlaps")
-		event     = fs.Bool("event", false, "run the simulated ranks on the event-driven transport path (fibers on a bounded executor instead of one goroutine per rank); results are byte-identical")
-		eventWk   = fs.Int("event-workers", 0, "executor pool size for -event (0 = NumCPU)")
 		serve     = fs.String("serve", "", "serve live telemetry over HTTP on this address (e.g. :9090): GET /metrics (Prometheus text), /debug/ranks, /debug/trace, /healthz; the process stays up after the run until interrupted")
 		eventsOut = fs.String("events-out", "", "write the structured failure-handling event journal (detections, repair phases, checkpoint commits/fallbacks) as JSONL to this file")
 	)
@@ -108,7 +106,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	}
 	cfg.Layout.N, cfg.Layout.L = *n, *level
 	cfg.Hosts, cfg.SlotsPerHost, cfg.Racks = *hosts, *slots, *racks
-	cfg.Event, cfg.EventWorkers = *event, *eventWk
 	cfg.CheckpointBackend = *ckptBack
 	cfg.CheckpointGenerations = *ckptGens
 	cfg.CheckpointAsync = *ckptAsync

@@ -303,23 +303,17 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	rs.reg = reg
-	opts := mpi.Options{
+	rep, err := mpi.Run(mpi.Options{
 		NProcs:     nprocs,
 		Machine:    cfg.Machine,
 		Cluster:    rs.cluster,
+		Entry:      rs.entry,
 		Metrics:    reg,
 		Watchdog:   rs.cfg.Watchdog,
 		Introspect: cfg.Introspect,
 		SpareRanks: cfg.SpareRanks,
 		SpareHosts: spareHosts,
-	}
-	if cfg.Event {
-		opts.EventEntry = rs.eventEntry
-		opts.EventWorkers = cfg.EventWorkers
-	} else {
-		opts.Entry = rs.entry
-	}
-	rep, err := mpi.Run(opts)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -742,21 +736,11 @@ func (rs *runState) rank(p *mpi.Proc) error {
 // view. (Replacements cannot derive the step themselves once multiple
 // failure events are allowed.)
 func syncRecoveryInfo(world *mpi.Comm, step int, mine []int) (int, []int, error) {
-	out, err := mpi.Bcast(world, 0, recoveryInfoBuf(world, step, mine))
-	return parseRecoveryInfo(out, err)
-}
-
-// recoveryInfoBuf builds rank 0's payload for syncRecoveryInfo (nil
-// elsewhere); parseRecoveryInfo decodes the broadcast result. Shared with the
-// event path's fiber twin so both wire formats are one piece of code.
-func recoveryInfoBuf(world *mpi.Comm, step int, mine []int) []int {
-	if world.Rank() != 0 {
-		return nil
+	var buf []int
+	if world.Rank() == 0 {
+		buf = append([]int{step}, mine...)
 	}
-	return append([]int{step}, mine...)
-}
-
-func parseRecoveryInfo(out []int, err error) (int, []int, error) {
+	out, err := mpi.Bcast(world, 0, buf)
 	if err != nil || len(out) < 1 {
 		return 0, nil, fmt.Errorf("core: broadcast recovery info: %w", err)
 	}
@@ -806,17 +790,6 @@ func (rs *runState) flushCheckpoints(p *mpi.Proc, rank, atStep int) {
 // store's generation count so the collective's shape is independent of how
 // much per-rank damage the header peeks found.
 func agreeRestoreStep(gcomm *mpi.Comm, cand []int, width int) (int, error) {
-	all, err := mpi.Allgather(gcomm, restoreStepBuf(cand, width))
-	if err != nil {
-		return 0, err
-	}
-	return pickRestoreStep(cand, all), nil
-}
-
-// restoreStepBuf pads the candidate list to the exchange width;
-// pickRestoreStep selects the newest step every rank offered. Both are shared
-// with the event path's fiber twin.
-func restoreStepBuf(cand []int, width int) []int64 {
 	if width < len(cand) {
 		width = len(cand)
 	}
@@ -824,10 +797,10 @@ func restoreStepBuf(cand []int, width int) []int64 {
 	for i, s := range cand {
 		buf[i] = int64(s)
 	}
-	return buf
-}
-
-func pickRestoreStep(cand []int, all [][]int64) int {
+	all, err := mpi.Allgather(gcomm, buf)
+	if err != nil {
+		return 0, err
+	}
 	best := 0
 	for _, s := range cand {
 		if s <= best {
@@ -851,7 +824,7 @@ func pickRestoreStep(cand []int, all [][]int64) int {
 			best = s
 		}
 	}
-	return best
+	return best, nil
 }
 
 // removeStep returns cand without step, preserving order.

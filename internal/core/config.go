@@ -248,17 +248,6 @@ type Config struct {
 	// checkpoint interval (0 = half the estimated run time, the paper's
 	// setup).
 	MTBF float64
-	// Event runs the simulated ranks on the event-driven transport path
-	// (mpi.Options.EventEntry): each rank is a parked continuation driven by
-	// a bounded worker pool instead of a dedicated goroutine, so wall-clock
-	// memory stays O(workers) at any rank count. Results — virtual times,
-	// traces, journals, metrics, the full Result — are byte-identical to the
-	// goroutine path. The 2D decomposition and serial-combine ablations have
-	// no fiber port yet and are rejected in this mode.
-	Event bool
-	// EventWorkers bounds the event path's executor pool (0 = NumCPU).
-	// Ignored unless Event is set.
-	EventWorkers int
 }
 
 // WithDefaults returns the configuration with zero fields filled in; Run
@@ -399,17 +388,6 @@ func (c Config) Validate() error {
 	}
 	if c.SpareRanks > 0 && c.RecoveryMode != recovery.ModeSubstitute {
 		return fmt.Errorf("core: SpareRanks requires the substitute recovery mode")
-	}
-	if c.Event {
-		if c.Decomp2D {
-			return fmt.Errorf("core: Event has no fiber port of the 2D decomposition yet")
-		}
-		if c.SerialCombine {
-			return fmt.Errorf("core: Event has no fiber port of the serial combination yet")
-		}
-		if c.EventWorkers < 0 {
-			return fmt.Errorf("core: EventWorkers must be >= 0")
-		}
 	}
 	if len(c.FailSchedule) > 0 {
 		if !c.RealFailures {

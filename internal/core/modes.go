@@ -270,28 +270,15 @@ func (rs *runState) survivorScheme(mc *modeCtx) (combine.Scheme, error) {
 // survivor can verify its locally derived copy. The spawn-mode broadcast
 // format is untouched.
 func syncRecoveryInfoMode(world *mpi.Comm, step int, failed, abandoned, origOf []int) (int, []int, []int, []int, error) {
-	out, err := mpi.Bcast(world, 0, recoveryInfoModeBuf(world, step, failed, abandoned, origOf))
-	return parseRecoveryInfoMode(world, out, err)
-}
-
-// recoveryInfoModeBuf builds rank 0's payload for syncRecoveryInfoMode (nil
-// elsewhere); parseRecoveryInfoMode decodes the broadcast result. Shared with
-// the event path's fiber twin so both wire formats are one piece of code.
-func recoveryInfoModeBuf(world *mpi.Comm, step int, failed, abandoned, origOf []int) []int {
-	if world.Rank() != 0 {
-		return nil
-	}
 	var buf []int
-	buf = append(buf, step, len(failed))
-	buf = append(buf, failed...)
-	buf = append(buf, len(abandoned))
-	buf = append(buf, abandoned...)
-	buf = append(buf, origOf...)
-	return buf
-}
-
-func parseRecoveryInfoMode(world *mpi.Comm, out []int, err error) (int, []int, []int, []int, error) {
-	var failed, abandoned, origOf []int
+	if world.Rank() == 0 {
+		buf = append(buf, step, len(failed))
+		buf = append(buf, failed...)
+		buf = append(buf, len(abandoned))
+		buf = append(buf, abandoned...)
+		buf = append(buf, origOf...)
+	}
+	out, err := mpi.Bcast(world, 0, buf)
 	if err != nil || len(out) < 2 {
 		return 0, nil, nil, nil, fmt.Errorf("core: broadcast recovery info: %w", err)
 	}

@@ -88,14 +88,6 @@ type Options struct {
 	// inter-rack link tier (0 or 1 = a single rack). Defaults keep output
 	// byte-identical to the pre-topology harness.
 	Racks int
-	// Event runs every simulated run on the event-driven transport path
-	// (core.Config.Event): ranks are fibers on a bounded executor instead
-	// of goroutines, including respawned replacements and claimed spares.
-	// Results are byte-identical to the goroutine path.
-	Event bool
-	// EventWorkers bounds each run's executor pool (0 = NumCPU). Ignored
-	// unless Event is set.
-	EventWorkers int
 	// RecoveryModes selects the recovery modes Fig. 11 sweeps: each mode
 	// runs the full technique x failures x cores matrix with the repair
 	// protocol forced to it, and rows carry a mode column. Nil runs spawn

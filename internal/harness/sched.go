@@ -34,23 +34,7 @@ type sched struct {
 	intro   *mpi.Introspection
 	ckpt    ckptOpts
 	shape   shapeOpts
-	event   eventOpts
 	jobs    []schedJob
-}
-
-// eventOpts is the sweep-wide transport selection applied to every run
-// (harness Options Event/EventWorkers). Off keeps the goroutine path; on is
-// byte-identical output on the event-driven path.
-type eventOpts struct {
-	on      bool
-	workers int
-}
-
-func (e eventOpts) apply(cfg *core.Config) {
-	if e.on {
-		cfg.Event = true
-		cfg.EventWorkers = e.workers
-	}
 }
 
 // ckptOpts is the sweep-wide checkpoint store configuration applied to
@@ -118,10 +102,6 @@ func newSched(o Options) *sched {
 			slots: o.SlotsPerHost,
 			racks: o.Racks,
 		},
-		event: eventOpts{
-			on:      o.Event,
-			workers: o.EventWorkers,
-		},
 	}
 }
 
@@ -161,7 +141,6 @@ func (s *sched) Run() error {
 		cfg := jobs[i].cfg
 		s.ckpt.apply(&cfg)
 		s.shape.apply(&cfg)
-		s.event.apply(&cfg)
 		if s.intro != nil && cfg.Introspect == nil {
 			cfg.Introspect = s.intro
 		}

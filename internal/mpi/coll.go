@@ -2,11 +2,7 @@ package mpi
 
 import "fmt"
 
-// Blocking collectives over the p2p layer. The event-driven path has CPS
-// twins for Barrier and Allreduce in event.go that share these kinds,
-// sequence counters and algorithm shapes — a change to an algorithm here
-// (or in coll_hier.go) must be mirrored there, or the virtual-time parity
-// tests (TestEventVirtualTimeParity) will catch the divergence.
+// Blocking collectives over the p2p layer.
 
 // Collective kinds for internal tag construction.
 const (

@@ -6,10 +6,7 @@ import "fmt"
 // needs: Alltoall, Scan, Exscan and ReduceScatterBlock. They follow the
 // same construction as coll.go — real message-passing algorithms over the
 // p2p layer, with failure-abort propagation so a dead member cannot deadlock the
-// operation. Alltoall and Scan have CPS twins on the event-driven path
-// (FiberAlltoall, FiberScan in event_ops.go); Exscan and ReduceScatterBlock
-// are blocking-path only so far — a fiber program needing one would grow its
-// twin there under the same parity-by-construction rules.
+// operation.
 
 const (
 	kindAlltoall = iota + 8

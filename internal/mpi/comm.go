@@ -55,6 +55,11 @@ type commShared struct {
 	// immutable group on first use; the build is deterministic, so racing
 	// members may store equivalent copies, and any of them is valid.
 	hier atomic.Pointer[commTopo]
+	// lockOrder lists the members' process states in ascending world rank,
+	// the order revokedDeadlock locks them in. Built on its first scan and
+	// guarded by World.state (write); membership is immutable and process
+	// table entries are never replaced, so it never goes stale.
+	lockOrder []*procState
 }
 
 // Comm is one process's handle on a communicator, mirroring MPI_Comm. The

@@ -42,10 +42,6 @@ type RankSnapshot struct {
 	Blocked string          `json:"blocked"`
 	Mailbox int             `json:"mailbox_total"`
 	Queues  []QueueSnapshot `json:"queues,omitempty"`
-	// Parked reports that the rank is a parked continuation on the
-	// event-driven path — the same blocked state a sleeping goroutine would
-	// be in, held as a registered completion instead of a stack.
-	Parked bool `json:"parked,omitempty"`
 }
 
 // WorldSnapshot is a point-in-time view of one World: the failure record,
@@ -57,10 +53,8 @@ type WorldSnapshot struct {
 	Spawned int                  `json:"spawned"`
 	Pending []RendezvousSnapshot `json:"pending_rendezvous,omitempty"`
 	Ranks   []RankSnapshot       `json:"ranks"`
-	// RanksParked and GoroutinesPeak mirror the mpi.ranks.parked and
-	// mpi.goroutines.peak gauges for event-driven worlds (both 0 on the
-	// goroutine path until the final peak sample).
-	RanksParked    int `json:"ranks_parked,omitempty"`
+	// GoroutinesPeak is the goroutine high-water mark sampled so far (0
+	// until the first sample after launch; see Report.GoroutinesPeak).
 	GoroutinesPeak int `json:"goroutines_peak,omitempty"`
 }
 
@@ -95,18 +89,15 @@ func (w *World) Snapshot() WorldSnapshot {
 		return a.Seq < c.Seq
 	})
 
-	out.RanksParked = int(w.parkedNow.Load())
 	out.GoroutinesPeak = int(w.goroPeak.Load())
 	for _, st := range w.snapshot() {
 		st.mu.Lock()
-		rs := RankSnapshot{WorldRank: st.wrank, Alive: st.alive.Load(), Parked: st.cont != nil}
+		rs := RankSnapshot{WorldRank: st.wrank, Alive: st.alive.Load()}
 		switch {
 		case st.waitSh != nil && st.waitReq != nil:
 			rs.Blocked = fmt.Sprintf("Wait on posted recv, comm=%d", st.waitSh.id)
 		case st.waitSh != nil:
 			rs.Blocked = fmt.Sprintf("recv comm=%d src=%d tag=%d", st.waitSh.id, st.waitSrc, st.waitTag)
-		case st.cont != nil:
-			rs.Blocked = "parked continuation (rendezvous or custom await)"
 		default:
 			rs.Blocked = "none recorded (running, parked in a rendezvous, or exited)"
 		}

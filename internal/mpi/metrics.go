@@ -97,13 +97,6 @@ type worldMetrics struct {
 	extraMu    sync.Mutex
 	extraOps   map[string]*metrics.Histogram
 	extraCosts map[string]*metrics.TimeSum
-
-	// goroPeak/ranksParked are registered only for event-driven worlds
-	// (enableEventGauges): their values are wall-clock noise, and
-	// registering them on the goroutine path would perturb the golden
-	// WriteSummary outputs, which must stay byte-identical.
-	goroPeak    *metrics.Gauge
-	ranksParked *metrics.Gauge
 }
 
 // newWorldMetrics resolves every instrument the runtime uses up front.
@@ -145,34 +138,6 @@ func newWorldMetrics(reg *metrics.Registry) *worldMetrics {
 		m.costs[comp] = reg.TimeSum("cost." + comp)
 	}
 	return m
-}
-
-// enableEventGauges registers the event-path gauges. Called once from
-// runEvent, before any fiber is dispatched; never on the goroutine path.
-func (m *worldMetrics) enableEventGauges() {
-	if m == nil {
-		return
-	}
-	m.goroPeak = m.reg.Gauge("mpi.goroutines.peak")
-	m.ranksParked = m.reg.Gauge("mpi.ranks.parked")
-}
-
-// setGoroutinesPeak mirrors the run's goroutine high-water mark to the
-// mpi.goroutines.peak gauge (event worlds only; no-op elsewhere).
-func (m *worldMetrics) setGoroutinesPeak(n int64) {
-	if m == nil || m.goroPeak == nil {
-		return
-	}
-	m.goroPeak.Set(float64(n))
-}
-
-// setRanksParked mirrors the count of currently parked continuations to the
-// mpi.ranks.parked gauge (event worlds only; no-op elsewhere).
-func (m *worldMetrics) setRanksParked(n int64) {
-	if m == nil || m.ranksParked == nil {
-		return
-	}
-	m.ranksParked.Set(float64(n))
 }
 
 // countSend records one sent message of the given payload size from the

@@ -164,8 +164,8 @@ func BenchmarkRepairDance(b *testing.B) {
 
 // stackSampler samples runtime.MemStats.StackInuse on a short period and
 // keeps the maximum, quantifying the stack footprint of goroutine-per-rank
-// versus parked continuations. ReadMemStats is a brief stop-the-world, so
-// the period is coarse; the number is indicative, not a gate.
+// execution. ReadMemStats is a brief stop-the-world, so the period is
+// coarse; the number is indicative, not a gate.
 type stackSampler struct {
 	stop chan struct{}
 	done chan struct{}
@@ -206,8 +206,8 @@ func (s *stackSampler) peakKiB() float64 {
 // cost; the reported vs/op metric is the run's final virtual time, the
 // number the weak-scaling gate in scripts/bench_compare.sh watches — with
 // the hierarchical collectives it should grow ~O(log nodes), not O(n).
-// peak-goroutines and peak-stack-KiB quantify the blocking model's memory
-// footprint against the event-driven path (benchWeakScalingEvent).
+// peak-goroutines and peak-stack-KiB quantify the goroutine-per-rank
+// memory footprint.
 func benchWeakScaling(b *testing.B, machine func() *vtime.Machine, nprocs int) {
 	b.Helper()
 	b.ReportAllocs()
@@ -245,60 +245,6 @@ func benchWeakScaling(b *testing.B, machine func() *vtime.Machine, nprocs int) {
 	b.ReportMetric(float64(peak), "peak-goroutines")
 }
 
-// benchWeakScalingEvent is benchWeakScaling's exact workload on the
-// event-driven path: same rounds, same algorithms, same tags — by the
-// parity contract (TestEventVirtualTimeParity) vs/op is bit-identical to
-// the blocking variant at the same scale, while peak-goroutines drops from
-// O(ranks) to O(workers).
-func benchWeakScalingEvent(b *testing.B, machine func() *vtime.Machine, nprocs int) {
-	b.Helper()
-	b.ReportAllocs()
-	var virt float64
-	var peak int
-	ss := startStackSampler()
-	for i := 0; i < b.N; i++ {
-		rep, err := Run(Options{NProcs: nprocs, Machine: machine(), EventEntry: func(p *Proc, f *Fiber) {
-			c := p.World()
-			small := make([]float64, 16)
-			big := make([]float64, 8192) // 64 KiB: past collRingCutover
-			var round func(k int)
-			round = func(k int) {
-				if k == 5 {
-					return
-				}
-				FiberBarrier(f, c, func(err error) {
-					if err != nil {
-						b.Error(err)
-						return
-					}
-					FiberAllreduce(f, c, small, Sum[float64], func(_ []float64, err error) {
-						if err != nil {
-							b.Error(err)
-							return
-						}
-						FiberAllreduce(f, c, big, Sum[float64], func(_ []float64, err error) {
-							if err != nil {
-								b.Error(err)
-								return
-							}
-							round(k + 1)
-						})
-					})
-				})
-			}
-			round(0)
-		}})
-		if err != nil {
-			b.Fatal(err)
-		}
-		virt = rep.MaxVirtualTime
-		peak = rep.GoroutinesPeak
-	}
-	b.ReportMetric(ss.peakKiB(), "peak-stack-KiB")
-	b.ReportMetric(virt, "vs/op")
-	b.ReportMetric(float64(peak), "peak-goroutines")
-}
-
 func BenchmarkWeakScaleOPL64(b *testing.B)      { benchWeakScaling(b, vtime.OPL, 64) }
 func BenchmarkWeakScaleOPL512(b *testing.B)     { benchWeakScaling(b, vtime.OPL, 512) }
 func BenchmarkWeakScaleOPL4096(b *testing.B)    { benchWeakScaling(b, vtime.OPL, 4096) }
@@ -308,17 +254,12 @@ func BenchmarkWeakScaleRaijin512(b *testing.B)  { benchWeakScaling(b, vtime.Raij
 func BenchmarkWeakScaleRaijin4096(b *testing.B) { benchWeakScaling(b, vtime.Raijin, 4096) }
 func BenchmarkWeakScaleRaijin8192(b *testing.B) { benchWeakScaling(b, vtime.Raijin, 8192) }
 
-func BenchmarkWeakScaleEventOPL4096(b *testing.B)    { benchWeakScalingEvent(b, vtime.OPL, 4096) }
-func BenchmarkWeakScaleEventOPL8192(b *testing.B)    { benchWeakScalingEvent(b, vtime.OPL, 8192) }
-func BenchmarkWeakScaleEventRaijin4096(b *testing.B) { benchWeakScalingEvent(b, vtime.Raijin, 4096) }
-func BenchmarkWeakScaleEventRaijin8192(b *testing.B) { benchWeakScalingEvent(b, vtime.Raijin, 8192) }
-
 // benchWeakScalingRepair runs one full kill -> detect -> revoke -> shrink
-// -> respawn -> merge -> split round per op at the given scale on the
-// blocking path (two victims; the dance helpers from event_test.go do the
-// protocol). Paired with benchWeakScalingEventRepair, it quantifies what
-// the fiber respawn port buys: identical virtual time for the repair, with
-// peak-goroutines dropping from O(ranks) to O(workers).
+// -> respawn -> merge -> split round per op at the given scale (two
+// victims; the dance helpers from ulfm_test.go do the protocol). Repair
+// wall clock is dominated by the ULFM rendezvous and revoke paths,
+// so the 4096 -> 8192 ratio shows how much per-wake work still scales with
+// the communicator size.
 func benchWeakScalingRepair(b *testing.B, machine func() *vtime.Machine, nprocs int) {
 	b.Helper()
 	b.ReportAllocs()
@@ -340,32 +281,6 @@ func benchWeakScalingRepair(b *testing.B, machine func() *vtime.Machine, nprocs 
 	b.ReportMetric(float64(peak), "peak-goroutines")
 }
 
-// benchWeakScalingEventRepair is benchWeakScalingRepair on the event path:
-// same victims, same protocol through the Fiber* twins, with the respawned
-// replacements re-attaching to the executor as fibers.
-func benchWeakScalingEventRepair(b *testing.B, machine func() *vtime.Machine, nprocs int) {
-	b.Helper()
-	b.ReportAllocs()
-	dead := func(r int) bool { return r == nprocs/4 || r == nprocs/2+1 }
-	var virt float64
-	var peak int
-	for i := 0; i < b.N; i++ {
-		d := newRepairDance()
-		rep, err := Run(Options{NProcs: nprocs, Machine: machine(), EventEntry: func(p *Proc, f *Fiber) {
-			eventRepairDance(b, p, f, dead, false, d)
-		}})
-		if err != nil {
-			b.Fatal(err)
-		}
-		virt = rep.MaxVirtualTime
-		peak = rep.GoroutinesPeak
-	}
-	b.ReportMetric(virt, "vs/op")
-	b.ReportMetric(float64(peak), "peak-goroutines")
-}
-
 func BenchmarkWeakScaleRepairOPL512(b *testing.B)  { benchWeakScalingRepair(b, vtime.OPL, 512) }
 func BenchmarkWeakScaleRepairOPL4096(b *testing.B) { benchWeakScalingRepair(b, vtime.OPL, 4096) }
-
-func BenchmarkWeakScaleEventRepairOPL512(b *testing.B)  { benchWeakScalingEventRepair(b, vtime.OPL, 512) }
-func BenchmarkWeakScaleEventRepairOPL4096(b *testing.B) { benchWeakScalingEventRepair(b, vtime.OPL, 4096) }
+func BenchmarkWeakScaleRepairOPL8192(b *testing.B) { benchWeakScalingRepair(b, vtime.OPL, 8192) }

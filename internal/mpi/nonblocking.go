@@ -13,12 +13,6 @@ import (
 // sends (a per-process posted-receive set, indexed by signature), exactly
 // as the MPI matching rules require, so overlapping halo exchanges behave
 // like the real thing.
-//
-// Wait/Waitall sleep on the caller's condvar and are therefore
-// goroutine-path operations: fiber code (Options.EventEntry) must not call
-// them — a fiber completes a pending receive through FiberRecv's
-// registered continuation instead (event.go). Isend, Probe and Iprobe
-// never block and work unchanged from fibers.
 
 // Request represents an outstanding nonblocking operation, mirroring
 // MPI_Request. A send request is complete at creation (the runtime buffers

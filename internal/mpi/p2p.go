@@ -345,13 +345,17 @@ func recvVerdict(c *Comm, src, tag int, internal bool) verdict {
 func revokedDeadlock(c *Comm, self int) bool {
 	w := c.p.st.w
 	w.state.Lock()
-	ps := w.snapshot()
-	members := c.allMembers()
-	locked := make([]*procState, 0, len(members))
-	for _, wr := range members {
-		locked = append(locked, ps[wr])
+	locked := c.sh.lockOrder
+	if locked == nil {
+		ps := w.snapshot()
+		members := c.allMembers()
+		locked = make([]*procState, 0, len(members))
+		for _, wr := range members {
+			locked = append(locked, ps[wr])
+		}
+		sort.Slice(locked, func(i, j int) bool { return locked[i].wrank < locked[j].wrank })
+		c.sh.lockOrder = locked
 	}
-	sort.Slice(locked, func(i, j int) bool { return locked[i].wrank < locked[j].wrank })
 	for _, q := range locked {
 		q.mu.Lock()
 	}

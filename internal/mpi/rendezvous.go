@@ -45,6 +45,72 @@ type rendezvous struct {
 	err     error
 	t       float64
 	cost    float64 // modelled cost of the operation, for attribution
+
+	// missing (alive members not yet arrived) and anyDead cache the
+	// member walk of aliveArrived as of World.deaths == deathsSeen. A member
+	// only ever turns from alive to dead (spawns and spare claims set alive
+	// on new world ranks, never on an existing member), so a death is the
+	// only event that can make the cache stale; arrivals keep it current.
+	missing    int
+	anyDead    bool
+	deathsSeen uint64
+}
+
+// rendezvousLocked returns the rendezvous instance for key, creating it
+// over the given members on first arrival. The pointer stays valid for the
+// life of the World — entries are never deleted. Caller holds World.state
+// (write).
+func (w *World) rendezvousLocked(key rvzKey, members []int) *rendezvous {
+	if w.rvzTable == nil {
+		w.rvzTable = make(map[rvzKey]*rendezvous)
+	}
+	r, ok := w.rvzTable[key]
+	if !ok {
+		r = &rendezvous{
+			key:     key,
+			members: append([]int(nil), members...),
+			arrived: make(map[int]float64),
+			inputs:  make(map[int]any),
+		}
+		r.recount(w)
+		w.rvzTable[key] = r
+	}
+	return r
+}
+
+// arriveLocked registers world rank wr's arrival at virtual time t with
+// its input. It reports false, registering nothing, if wr has already
+// arrived. The cached missing count drops only for an alive member, the
+// only kind recount counts: a dead process can still be running and
+// arrive — the watchdog's abortJob fails every rank while its goroutine
+// goes on into recovery. A stale count is rebuilt before it is read.
+// Caller holds World.state (write).
+func (r *rendezvous) arriveLocked(w *World, wr int, t float64, input any) bool {
+	if _, dup := r.arrived[wr]; dup {
+		return false
+	}
+	r.arrived[wr] = t
+	r.inputs[wr] = input
+	if w.alive(wr) {
+		r.missing--
+	}
+	return true
+}
+
+// recount rebuilds the cached member walk and stamps it with the current
+// death count. Caller holds World.state.
+func (r *rendezvous) recount(w *World) {
+	r.missing, r.anyDead = 0, false
+	for _, wr := range r.members {
+		if !w.alive(wr) {
+			r.anyDead = true
+			continue
+		}
+		if _, ok := r.arrived[wr]; !ok {
+			r.missing++
+		}
+	}
+	r.deathsSeen = w.deaths
 }
 
 // maxArrival returns the latest arrival time among arrived-and-alive
@@ -61,20 +127,14 @@ func (r *rendezvous) maxArrival(w *World) float64 {
 }
 
 // aliveArrived reports whether every currently-alive expected member has
-// arrived, and whether any expected member is dead. Caller holds
-// World.state.
+// arrived, and whether any expected member is dead. The member walk runs
+// only when a process has died or exited since the last one, so a wake
+// costs O(1) rather than O(members). Caller holds World.state (write).
 func (r *rendezvous) aliveArrived(w *World) (complete, anyDead bool) {
-	complete = true
-	for _, wr := range r.members {
-		if !w.alive(wr) {
-			anyDead = true
-			continue
-		}
-		if _, ok := r.arrived[wr]; !ok {
-			complete = false
-		}
+	if r.deathsSeen != w.deaths {
+		r.recount(w)
 	}
-	return complete, anyDead
+	return r.missing == 0, r.anyDead
 }
 
 // buildFunc computes the single shared result of a rendezvous once all alive
@@ -82,66 +142,11 @@ func (r *rendezvous) aliveArrived(w *World) (complete, anyDead bool) {
 // returns the result plus the modelled cost of the operation in seconds.
 type buildFunc func(w *World, r *rendezvous) (any, float64)
 
-// The rendezvous protocol is split into three steps — enter, poll, finish —
-// so the blocking path (runRendezvous: poll in an epoch-gated condvar loop)
-// and the event-driven path (event.go's FiberAgree: poll as a parked
-// continuation's wakeup condition) share one implementation of registration,
-// completion and cost accounting.
-
-// rvzEnter registers the calling process in the rendezvous instance,
-// creating it on first arrival. Returns the instance (its pointer stays
-// valid for the life of the World — entries are never deleted) and the
-// caller's clock at entry for op-latency measurement.
-//
-// allowRevoked must be true for the ULFM calls that operate on revoked
-// communicators (shrink, agree).
-func rvzEnter(c *Comm, op string, allowRevoked bool, input any) (*rendezvous, float64, error) {
-	st := c.p.st
-	w := st.w
-	st.hookOp(op)
-	t0 := st.clock.Now()
-	key := rvzKey{comm: c.sh.id, op: op, seq: c.nextSeq(op)}
-
-	// Like point-to-point operations, a rendezvous collective fails on
-	// revocation only once the caller itself has observed it; the
-	// shrink/agree family sets allowRevoked and proceeds regardless.
-	if c.sawRevoked && !allowRevoked {
-		return nil, t0, ErrRevoked
-	}
-	w.state.Lock()
-	if w.rvzTable == nil {
-		w.rvzTable = make(map[rvzKey]*rendezvous)
-	}
-	r, ok := w.rvzTable[key]
-	if !ok {
-		r = &rendezvous{
-			key:     key,
-			members: append([]int(nil), c.allMembers()...),
-			arrived: make(map[int]float64),
-			inputs:  make(map[int]any),
-		}
-		w.rvzTable[key] = r
-	}
-	if _, dup := r.arrived[st.wrank]; dup {
-		w.state.Unlock()
-		panic(fmt.Sprintf("mpi: process %d entered %s twice (seq %d)", st.wrank, op, key.seq))
-	}
-	r.arrived[st.wrank] = st.clock.Now()
-	r.inputs[st.wrank] = input
-	w.state.Unlock()
-	return r, t0, nil
-}
-
-// rvzPoll evaluates the rendezvous once and reports whether it is resolved.
-// The caller that observes the group complete builds the shared result (or
-// the deterministic abort) and wakes every member. Park-safe in both
-// blocking models: wakeRanks bumps member epochs under their mu, so an
-// epoch read taken before this poll detects any resolution that races with
-// a subsequent park.
-func rvzPoll(c *Comm, r *rendezvous, mode rvzMode, build buildFunc) bool {
-	w := c.p.st.w
-	w.state.Lock()
-	defer w.state.Unlock()
+// resolveLocked evaluates the rendezvous once and reports whether it is
+// resolved. The caller that observes the group complete builds the shared
+// result (or the deterministic abort) and wakes every member. Caller holds
+// World.state (write).
+func (r *rendezvous) resolveLocked(w *World, mode rvzMode, build buildFunc) bool {
 	if r.done {
 		return true
 	}
@@ -178,15 +183,56 @@ func rvzPoll(c *Comm, r *rendezvous, mode rvzMode, build buildFunc) bool {
 	return true
 }
 
-// rvzFinish synchronises the caller's clock to the resolved rendezvous and
-// attributes its cost. Caller must have observed r.done via rvzPoll; the
-// result fields are written once, under the same state lock that published
-// done, so they are read here without it.
-func rvzFinish(c *Comm, r *rendezvous, op string, t0 float64) (any, error) {
+// runRendezvous executes one instance of a rendezvous collective for the
+// calling process: register input, wait for the group, have exactly one
+// participant build the shared result, and synchronise virtual clocks to
+// completion time (max of alive arrivals plus the modelled cost).
+//
+// allowRevoked must be true for the ULFM calls that operate on revoked
+// communicators (shrink, agree).
+func runRendezvous(c *Comm, op string, mode rvzMode, allowRevoked bool, input any, build buildFunc) (any, error) {
 	st := c.p.st
 	w := st.w
-	result, err, t, cost := r.result, r.err, r.t, r.cost
+	st.hookOp(op)
+	t0 := st.clock.Now()
+	key := rvzKey{comm: c.sh.id, op: op, seq: c.nextSeq(op)}
 
+	// Like point-to-point operations, a rendezvous collective fails on
+	// revocation only once the caller itself has observed it; the
+	// shrink/agree family sets allowRevoked and proceeds regardless.
+	if c.sawRevoked && !allowRevoked {
+		return nil, ErrRevoked
+	}
+	w.state.Lock()
+	r := w.rendezvousLocked(key, c.allMembers())
+	if !r.arriveLocked(w, st.wrank, st.clock.Now(), input) {
+		w.state.Unlock()
+		panic(fmt.Sprintf("mpi: process %d entered %s twice (seq %d)", st.wrank, op, key.seq))
+	}
+	w.state.Unlock()
+
+	for {
+		// Epoch-gated park, exactly like recvRaw: resolution wakes the
+		// group (resolveLocked's wakeRanks, or markFailed's wakeAll on a
+		// death), bumping the epoch, so a wake landing between the read
+		// and the park is never lost.
+		e := st.epochNow()
+		w.state.Lock()
+		done := r.resolveLocked(w, mode, build)
+		w.state.Unlock()
+		if done {
+			break
+		}
+		st.mu.Lock()
+		if st.epoch == e {
+			st.cond.Wait()
+		}
+		st.mu.Unlock()
+	}
+
+	// The result fields were written once, under the same state lock that
+	// published done, so they are read here without it.
+	result, err, t, cost := r.result, r.err, r.t, r.cost
 	st.clock.SyncTo(t)
 	// Attribute the op's modelled cost once per participating member and
 	// record its completion latency on this member's clock. cost > 0 also
@@ -198,32 +244,4 @@ func rvzFinish(c *Comm, r *rendezvous, op string, t0 float64) (any, error) {
 		wm.observeOp(op, st.clock.Now()-t0)
 	}
 	return result, err
-}
-
-// runRendezvous executes one instance of a rendezvous collective for the
-// calling process: register input, wait for the group, have exactly one
-// participant build the shared result, and synchronise virtual clocks to
-// completion time (max of alive arrivals plus the modelled cost).
-func runRendezvous(c *Comm, op string, mode rvzMode, allowRevoked bool, input any, build buildFunc) (any, error) {
-	st := c.p.st
-	r, t0, err := rvzEnter(c, op, allowRevoked, input)
-	if err != nil {
-		return nil, err
-	}
-	for {
-		// Epoch-gated park, exactly like recvRaw: resolution wakes the
-		// group (rvzPoll's wakeRanks, or markFailed's wakeAll on a death),
-		// bumping the epoch, so a wake landing between the read and the
-		// park is never lost.
-		e := st.epochNow()
-		if rvzPoll(c, r, mode, build) {
-			break
-		}
-		st.mu.Lock()
-		if st.epoch == e {
-			st.cond.Wait()
-		}
-		st.mu.Unlock()
-	}
-	return rvzFinish(c, r, op, t0)
 }

@@ -38,7 +38,20 @@ func (c *Comm) ClaimSpares(n int) (*Comm, error) {
 	if n <= 0 {
 		return nil, c.fire(fmt.Errorf("mpi: ClaimSpares: n = %d: %w", n, ErrComm))
 	}
-	res, err := runRendezvous(c, "claim", failOnDeath, false, nil, claimBuild(c, n))
+	res, err := runRendezvous(c, "claim", failOnDeath, false, nil,
+		func(w *World, r *rendezvous) (any, float64) {
+			if len(w.spareFree) < n {
+				return &claimResult{err: ErrNoSpares}, 0
+			}
+			// Waking parked processes costs one agreement round over the
+			// survivors plus the joiners — no process launch, no image
+			// distribution. This is the measured substitute advantage over
+			// SpawnCost.
+			cost := w.machine.ULFM.AgreeCost(len(c.sh.a)+n, 0)
+			start := r.maxArrival(w) + cost
+			inter, err := w.claimLocked(c.sh.a, n, start)
+			return &claimResult{inter: inter, err: err}, cost
+		})
 	if err != nil {
 		return nil, c.fire(err)
 	}
@@ -49,30 +62,9 @@ func (c *Comm) ClaimSpares(n int) (*Comm, error) {
 	return &Comm{sh: cr.inter, p: c.p, side: 0, rank: c.rank}, nil
 }
 
-// claimBuild is ClaimSpares's shared-result builder: ErrNoSpares when the
-// pool is short (consuming nothing), otherwise the spares knitted in by
-// claimLocked under World.state. Shared by the blocking ClaimSpares and
-// FiberClaimSpares so both paths meet in the same rendezvous instance.
-func claimBuild(c *Comm, n int) buildFunc {
-	return func(w *World, r *rendezvous) (any, float64) {
-		if len(w.spareFree) < n {
-			return &claimResult{err: ErrNoSpares}, 0
-		}
-		// Waking parked processes costs one agreement round over the
-		// survivors plus the joiners — no process launch, no image
-		// distribution. This is the measured substitute advantage over
-		// SpawnCost.
-		cost := w.machine.ULFM.AgreeCost(len(c.sh.a)+n, 0)
-		start := r.maxArrival(w) + cost
-		inter, err := w.claimLocked(c.sh.a, n, start)
-		return &claimResult{inter: inter, err: err}, cost
-	}
-}
-
-// claimLocked consumes the first n parked spares and launches them on the
-// world's execution path (goroutines or fibers; see spawnLocked), mirroring
-// spawnLocked's communicator construction. Caller holds World.state (write)
-// and has checked len(w.spareFree) >= n.
+// claimLocked consumes the first n parked spares and launches their
+// goroutines, mirroring spawnLocked's communicator construction. Caller
+// holds World.state (write) and has checked len(w.spareFree) >= n.
 func (w *World) claimLocked(parentGroup []int, n int, start float64) (*commShared, error) {
 	childRanks := append([]int(nil), w.spareFree[:n]...)
 	w.spareFree = w.spareFree[n:]
@@ -91,7 +83,8 @@ func (w *World) claimLocked(parentGroup []int, n int, start float64) (*commShare
 		}
 		p.world.p = p
 		p.parent.p = p
-		w.startProcLocked(p)
+		w.wg.Add(1)
+		go w.runProc(p)
 	}
 	return inter, nil
 }

@@ -39,7 +39,20 @@ func (c *Comm) SpawnMultiple(n int, hosts []string, root int) (*Comm, error) {
 	if c.rank == root {
 		in.hosts = append([]string(nil), hosts...)
 	}
-	res, err := runRendezvous(c, "spawn", failOnDeath, false, in, spawnBuild(c, n, root))
+	// Spawn completes at the last arrival plus the beta-ULFM spawn cost,
+	// with the children created by spawnLocked under World.state.
+	res, err := runRendezvous(c, "spawn", failOnDeath, false, in,
+		func(w *World, r *rendezvous) (any, float64) {
+			rootWorld := c.sh.a[root]
+			rootIn, ok := r.inputs[rootWorld].(spawnInput)
+			if !ok {
+				return &spawnResult{err: fmt.Errorf("mpi: SpawnMultiple: missing root input: %w", ErrComm)}, 0
+			}
+			cost := w.machine.ULFM.SpawnCost(len(c.sh.a)+n, n)
+			start := r.maxArrival(w) + cost
+			inter, err := w.spawnLocked(c.sh.a, n, rootIn.hosts, start)
+			return &spawnResult{inter: inter, err: err}, cost
+		})
 	if err != nil {
 		return nil, c.fire(err)
 	}
@@ -50,29 +63,10 @@ func (c *Comm) SpawnMultiple(n int, hosts []string, root int) (*Comm, error) {
 	return &Comm{sh: sr.inter, p: c.p, side: 0, rank: c.rank}, nil
 }
 
-// spawnBuild is SpawnMultiple's shared-result builder: spawn completion at
-// the last arrival plus the beta-ULFM spawn cost, with the children created
-// by spawnLocked under World.state. Shared by the blocking SpawnMultiple and
-// FiberSpawnMultiple so both paths meet in the same rendezvous instance.
-func spawnBuild(c *Comm, n, root int) buildFunc {
-	return func(w *World, r *rendezvous) (any, float64) {
-		rootWorld := c.sh.a[root]
-		rootIn, ok := r.inputs[rootWorld].(spawnInput)
-		if !ok {
-			return &spawnResult{err: fmt.Errorf("mpi: SpawnMultiple: missing root input: %w", ErrComm)}, 0
-		}
-		cost := w.machine.ULFM.SpawnCost(len(c.sh.a)+n, n)
-		start := r.maxArrival(w) + cost
-		inter, err := w.spawnLocked(c.sh.a, n, rootIn.hosts, start)
-		return &spawnResult{inter: inter, err: err}, cost
-	}
-}
-
-// spawnLocked creates n processes and launches them on the world's execution
-// path — goroutines under Entry, fibers attached to the running executor
-// under EventEntry (startProcLocked). Caller holds World.state (write); the
-// grown process table is published as a new copy-on-write snapshot before any
-// child can run. Each child starts with its clock at start seconds.
+// spawnLocked creates n processes and launches their goroutines. Caller
+// holds World.state (write); the grown process table is published as a new
+// copy-on-write snapshot before any child can run. Each child starts with
+// its clock at start seconds.
 func (w *World) spawnLocked(parentGroup []int, n int, hosts []string, start float64) (*commShared, error) {
 	placements := make([]int, n)
 	for i := 0; i < n; i++ {
@@ -122,7 +116,8 @@ func (w *World) spawnLocked(parentGroup []int, n int, hosts []string, start floa
 		}
 		p.world.p = p
 		p.parent.p = p
-		w.startProcLocked(p)
+		w.wg.Add(1)
+		go w.runProc(p)
 	}
 	return inter, nil
 }

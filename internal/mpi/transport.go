@@ -6,10 +6,7 @@ package mpi
 // small eager-send copies, and a typed buffer pool backing the zero-copy
 // ownership-transfer path (SendOwned / AcquireBuf / ReleaseBuf). The
 // locking hierarchy that coordinates it lives in world.go; buffer-ownership
-// rules are documented in DESIGN.md ("Transport"). The data plane is
-// blocking-model-agnostic: the event-driven path (event.go) consumes the
-// same envelopes, match queues and pools — only the park/wake discipline
-// above them differs.
+// rules are documented in DESIGN.md ("Transport").
 
 import (
 	"reflect"

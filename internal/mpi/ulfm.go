@@ -42,31 +42,26 @@ func (c *Comm) Shrink() (*Comm, error) {
 	if c.IsInter() {
 		return nil, c.fire(fmt.Errorf("mpi: Shrink on intercommunicator: %w", ErrComm))
 	}
-	res, err := runRendezvous(c, "shrink", ignoreDeath, true, nil, shrinkBuild(c))
+	// The shared result: the survivors of the old group in their original
+	// relative order, costed by the beta-ULFM shrink model.
+	res, err := runRendezvous(c, "shrink", ignoreDeath, true, nil,
+		func(w *World, r *rendezvous) (any, float64) {
+			var alive []int
+			for _, wr := range c.sh.a {
+				if w.alive(wr) {
+					alive = append(alive, wr)
+				}
+			}
+			nfailed := len(c.sh.a) - len(alive)
+			cost := w.machine.ULFM.ShrinkCost(len(c.sh.a), nfailed)
+			return w.newCommLocked(alive, nil), cost
+		})
 	if err != nil {
 		return nil, c.fire(err)
 	}
 	sh := res.(*commShared)
 	rank := Group(sh.a).Rank(c.p.st.wrank)
 	return &Comm{sh: sh, p: c.p, rank: rank}, nil
-}
-
-// shrinkBuild is Shrink's shared-result builder: the survivors of the old
-// group in their original relative order, costed by the beta-ULFM shrink
-// model. Shared by the blocking Shrink and FiberShrink so both paths meet in
-// the same rendezvous instance.
-func shrinkBuild(c *Comm) buildFunc {
-	return func(w *World, r *rendezvous) (any, float64) {
-		var alive []int
-		for _, wr := range c.sh.a {
-			if w.alive(wr) {
-				alive = append(alive, wr)
-			}
-		}
-		nfailed := len(c.sh.a) - len(alive)
-		cost := w.machine.ULFM.ShrinkCost(len(c.sh.a), nfailed)
-		return w.newCommLocked(alive, nil), cost
-	}
 }
 
 // Agree performs fault-tolerant agreement on the bitwise AND of the flags
@@ -76,32 +71,27 @@ func shrinkBuild(c *Comm) buildFunc {
 // child sides). If any member of the communicator has failed, the agreed
 // flag is still returned together with MPI_ERR_PROC_FAILED.
 func (c *Comm) Agree(flag int) (int, error) {
-	res, err := runRendezvous(c, "agree", reportDeath, true, flag, agreeBuild(c))
+	// The shared result: bitwise AND over the inputs of surviving members,
+	// costed by the beta-ULFM agreement model.
+	res, err := runRendezvous(c, "agree", reportDeath, true, flag,
+		func(w *World, r *rendezvous) (any, float64) {
+			agreed := -1 // all bits set
+			for wr, in := range r.inputs {
+				if w.alive(wr) {
+					agreed &= in.(int)
+				}
+			}
+			members := c.allMembers()
+			nfailed := len(w.failedOf(members))
+			if c.sh.repairFor > nfailed {
+				nfailed = c.sh.repairFor
+			}
+			return agreed, w.machine.ULFM.AgreeCost(len(members), nfailed)
+		})
 	if res == nil {
 		return 0, c.fire(err)
 	}
 	return res.(int), c.fire(err)
-}
-
-// agreeBuild is Agree's shared-result builder: bitwise AND over the inputs
-// of surviving members, costed by the beta-ULFM agreement model. Shared by
-// the blocking Agree and the event-driven FiberAgree so both paths meet in
-// the same rendezvous instance with identical results and costs.
-func agreeBuild(c *Comm) buildFunc {
-	return func(w *World, r *rendezvous) (any, float64) {
-		agreed := -1 // all bits set
-		for wr, in := range r.inputs {
-			if w.alive(wr) {
-				agreed &= in.(int)
-			}
-		}
-		members := c.allMembers()
-		nfailed := len(w.failedOf(members))
-		if c.sh.repairFor > nfailed {
-			nfailed = c.sh.repairFor
-		}
-		return agreed, w.machine.ULFM.AgreeCost(len(members), nfailed)
-	}
 }
 
 // FailureAck acknowledges all currently known failures on the communicator

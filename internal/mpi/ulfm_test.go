@@ -4,6 +4,7 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"ftsg/internal/vtime"
 )
@@ -313,97 +314,188 @@ func TestShrinkChargesBetaULFMCost(t *testing.T) {
 	}
 }
 
+// repairDance records where every process (survivors and replacements)
+// ended after a full communicator reconstruction.
+type repairDance struct {
+	mu         sync.Mutex
+	finalRanks map[int]int // world rank -> final comm rank
+	finalSize  int
+}
+
+func newRepairDance() *repairDance {
+	return &repairDance{finalRanks: map[int]int{}}
+}
+
+func (d *repairDance) record(p *Proc, c *Comm) {
+	d.mu.Lock()
+	d.finalRanks[p.WorldRank()] = c.Rank()
+	d.finalSize = c.Size()
+	d.mu.Unlock()
+}
+
+const danceMergeTag = 4
+
+// blockingRepairDance is the full repair dance of the paper's Figs. 2/3/5:
+// kill the victims, detect, revoke, agree, shrink, respawn (or claim
+// spares), merge, agree, split back to original ranks, barrier.
+// Replacements enter through the child path (Fig. 3, lines 19-26).
+func blockingRepairDance(t testing.TB, p *Proc, dead func(int) bool, claim bool, d *repairDance) {
+	if pc := p.Parent(); pc != nil {
+		_, _ = pc.Agree(1) // failure report is expected here in general
+		unordered, err := pc.IntercommMerge(true)
+		must(t, err)
+		oldRank, _, err := RecvOne[int](unordered, 0, danceMergeTag)
+		must(t, err)
+		ordered, err := unordered.Split(0, oldRank)
+		must(t, err)
+		d.record(p, ordered)
+		must(t, ordered.Barrier()) // reconstructed comm must be fully usable
+		return
+	}
+	c := p.World()
+	if dead(c.Rank()) {
+		p.Kill()
+	}
+	_ = c.Barrier() // detection point; non-uniform outcome is fine
+	_ = c.Revoke()
+	if flag, err := c.Agree(1); flag != 1 || err == nil {
+		t.Errorf("Agree after failures: flag %d err %v", flag, err)
+	}
+	shrunk, err := c.Shrink()
+	must(t, err)
+	// Failed-process list via group algebra (paper Fig. 6).
+	oldGroup, newGroup := c.Group(), shrunk.Group()
+	failedGroup := oldGroup.Difference(newGroup)
+	failedRanks := make([]int, failedGroup.Size())
+	for i := range failedRanks {
+		failedRanks[i] = oldGroup.Rank(failedGroup[i])
+	}
+	var inter *Comm
+	if claim {
+		inter, err = shrunk.ClaimSpares(len(failedRanks))
+	} else {
+		hosts, herr := p.Cluster().SpawnHosts(failedRanks)
+		must(t, herr)
+		inter, err = shrunk.SpawnMultiple(len(failedRanks), hosts, 0)
+	}
+	must(t, err)
+	unordered, err := inter.IntercommMerge(false)
+	must(t, err)
+	_, err = inter.Agree(1)
+	must(t, err)
+	// Rank 0 of the merged comm tells each child its old rank (children
+	// are the highest ranks after a high merge).
+	if unordered.Rank() == 0 {
+		base := shrunk.Size()
+		for i, fr := range failedRanks {
+			must(t, SendOne(unordered, base+i, danceMergeTag, fr))
+		}
+	}
+	ordered, err := unordered.Split(0, c.Rank())
+	must(t, err)
+	d.record(p, ordered)
+	must(t, ordered.Barrier())
+}
+
+// checkDance verifies the reconstructed communicator: full size, survivors
+// on their original ranks, replacements (world ranks nprocs.., or the
+// claimed spares right after the initial ranks) on the failed ranks.
+func checkDance(t *testing.T, d *repairDance, nprocs int, dead func(int) bool) {
+	t.Helper()
+	if d.finalSize != nprocs {
+		t.Fatalf("reconstructed size = %d, want %d", d.finalSize, nprocs)
+	}
+	var failed []int
+	for wr := 0; wr < nprocs; wr++ {
+		if dead(wr) {
+			failed = append(failed, wr)
+			continue
+		}
+		if d.finalRanks[wr] != wr {
+			t.Errorf("survivor world %d has rank %d", wr, d.finalRanks[wr])
+		}
+	}
+	for i, fr := range failed {
+		if got := d.finalRanks[nprocs+i]; got != fr {
+			t.Errorf("replacement world %d got rank %d, want %d", nprocs+i, got, fr)
+		}
+	}
+}
+
 // TestSpawnMergeSplitRepairDance runs the full communicator reconstruction
 // of the paper's Figs. 2/3/5 at the runtime level: kill ranks 3 and 5 of a
 // 7-rank communicator, shrink, spawn two replacements, merge high, and split
 // with the original ranks as keys; every process must end with its original
 // rank in a full-size communicator.
 func TestSpawnMergeSplitRepairDance(t *testing.T) {
-	var mu sync.Mutex
-	finalRanks := map[int]int{} // world rank -> final comm rank
-	finalSize := 0
-
-	rep, err := Run(Options{NProcs: 7, Entry: func(p *Proc) {
-		const mergeTag = 4
-
-		record := func(c *Comm) {
-			mu.Lock()
-			finalRanks[p.WorldRank()] = c.Rank()
-			finalSize = c.Size()
-			mu.Unlock()
-			must(t, c.Barrier()) // reconstructed comm must be fully usable
-		}
-
-		if pc := p.Parent(); pc != nil {
-			// Child path (paper Fig. 3, lines 19-26).
-			_, err := pc.Agree(1)
-			_ = err // failure report is expected here in general
-			unordered, err := pc.IntercommMerge(true)
-			must(t, err)
-			oldRank, _, err := RecvOne[int](unordered, 0, mergeTag)
-			must(t, err)
-			ordered, err := unordered.Split(0, oldRank)
-			must(t, err)
-			record(ordered)
-			return
-		}
-
-		c := p.World()
-		if c.Rank() == 3 || c.Rank() == 5 {
-			p.Kill()
-		}
-		_ = c.Barrier() // detect
-		must(t, c.Revoke())
-		shrunk, err := c.Shrink()
-		must(t, err)
-
-		// Failed-process list via group algebra (paper Fig. 6).
-		oldGroup, newGroup := c.Group(), shrunk.Group()
-		failedGroup := oldGroup.Difference(newGroup)
-		failedRanks := make([]int, failedGroup.Size())
-		for i := range failedRanks {
-			failedRanks[i] = oldGroup.Rank(failedGroup[i])
-		}
-
-		hosts, err := p.Cluster().SpawnHosts(failedRanks)
-		must(t, err)
-		inter, err := shrunk.SpawnMultiple(len(failedRanks), hosts, 0)
-		must(t, err)
-		unordered, err := inter.IntercommMerge(false)
-		must(t, err)
-		_, err = inter.Agree(1)
-		must(t, err)
-
-		// Rank 0 of the merged comm tells each child its old rank
-		// (children are the highest ranks after a high merge).
-		if unordered.Rank() == 0 {
-			base := shrunk.Size()
-			for i, fr := range failedRanks {
-				must(t, SendOne(unordered, base+i, mergeTag, fr))
-			}
-		}
-		ordered, err := unordered.Split(0, c.Rank())
-		must(t, err)
-		record(ordered)
+	const nprocs = 7
+	dead := func(me int) bool { return me == 3 || me == 5 }
+	d := newRepairDance()
+	rep, err := Run(Options{NProcs: nprocs, Entry: func(p *Proc) {
+		blockingRepairDance(t, p, dead, false, d)
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if t.Failed() {
+		return
+	}
 	if len(rep.Failed) != 2 || rep.Spawned != 2 {
 		t.Fatalf("failed %v spawned %d", rep.Failed, rep.Spawned)
 	}
-	if finalSize != 7 {
-		t.Fatalf("reconstructed size = %d, want 7", finalSize)
+	checkDance(t, d, nprocs, dead)
+}
+
+// TestClaimSparesRepairDance is the substitute mode's repair round: the
+// dance claims two of four pre-allocated spares instead of spawning, and
+// the claimed spares attach through the same merge/agree/split protocol.
+func TestClaimSparesRepairDance(t *testing.T) {
+	const nprocs = 16
+	dead := func(me int) bool { return me == 3 || me == 11 }
+	d := newRepairDance()
+	rep, err := Run(Options{NProcs: nprocs, SpareRanks: 4, Machine: vtime.OPL(),
+		Watchdog: Watchdog{Timeout: 60 * time.Second},
+		Entry:    func(p *Proc) { blockingRepairDance(t, p, dead, true, d) }})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Survivors keep their ranks; replacements (world ranks 7 and 8) take
-	// over ranks 3 and 5.
-	for _, wr := range []int{0, 1, 2, 4, 6} {
-		if finalRanks[wr] != wr {
-			t.Errorf("survivor world %d has rank %d", wr, finalRanks[wr])
-		}
+	if t.Failed() {
+		return
 	}
-	if finalRanks[7] != 3 || finalRanks[8] != 5 {
-		t.Errorf("replacements got ranks %d and %d, want 3 and 5", finalRanks[7], finalRanks[8])
+	checkDance(t, d, nprocs, dead)
+	if rep.SparesUsed != 2 || rep.Spawned != 0 {
+		t.Errorf("SparesUsed %d Spawned %d, want 2 and 0", rep.SparesUsed, rep.Spawned)
+	}
+}
+
+// TestRepair8192Smoke runs the full kill -> detect -> revoke -> shrink ->
+// respawn -> merge -> split dance at 8192 ranks and checks the world is
+// repaired exactly: replacements take the failed ranks, survivors keep
+// theirs.
+func TestRepair8192Smoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("8192-rank repair smoke skipped in -short")
+	}
+	if raceEnabled {
+		// Race shadow memory multiplies the ~1 GB heap of an 8192-rank
+		// world; CI runs this test in its own step without -race.
+		t.Skip("8192-rank repair smoke skipped under -race")
+	}
+	const nprocs = 8192
+	dead := func(r int) bool { return r == 1000 || r == 5000 }
+	d := newRepairDance()
+	rep, err := Run(Options{NProcs: nprocs, Machine: vtime.OPL(), Entry: func(p *Proc) {
+		blockingRepairDance(t, p, dead, false, d)
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDance(t, d, nprocs, dead)
+	if rep.Spawned != 2 {
+		t.Errorf("Spawned = %d, want 2", rep.Spawned)
+	}
+	if len(rep.Failed) != 2 {
+		t.Errorf("Failed = %v, want two ranks", rep.Failed)
 	}
 }
 

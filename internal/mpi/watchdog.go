@@ -20,11 +20,7 @@ import (
 // is still alive — is either deadlocked or in a pure-compute stretch longer
 // than the timeout. The monitor reads only epoch counters (under each
 // process's mutex), the process table and liveness flags, so it never races
-// with owner-only state such as the virtual clocks. The event-driven path
-// needs no special handling: parked continuations are woken by the same
-// epoch bumps, and the stall dump renders their blocked-receive
-// descriptors (and a parked marker) through the same World.Snapshot the
-// goroutine path uses.
+// with owner-only state such as the virtual clocks.
 
 // Watchdog configures stall detection for a Run. The zero value disables it.
 type Watchdog struct {

@@ -46,6 +46,49 @@ func TestWatchdogDetectsDeadlock(t *testing.T) {
 	}
 }
 
+// TestWatchdogAbortThenRecoveryReturns checks that an aborted job still
+// drains when its ranks react to the abort the way a recovery layer does.
+// abortJob fails every rank, but each goroutine keeps running: it sees
+// MPI_ERR_PROC_FAILED and goes on to revoke, shrink and agree, so every
+// rendezvous is entered by dead members only. Each must resolve (among no
+// survivors) rather than park its callers for good.
+func TestWatchdogAbortThenRecoveryReturns(t *testing.T) {
+	done := make(chan error, 1)
+	go func() {
+		_, err := Run(Options{
+			NProcs:   4,
+			Machine:  vtime.OPL(),
+			Watchdog: Watchdog{Timeout: 50 * time.Millisecond, OnStall: func(string) {}},
+			Entry: func(p *Proc) {
+				c := p.World()
+				// A receive cycle: every rank waits on its right neighbour.
+				// A rank that wakes after another has revoked sees that
+				// instead of the failure.
+				_, _, err := Recv[int](c, (c.Rank()+1)%c.Size(), 7)
+				if !errors.Is(err, ErrProcFailed) && !errors.Is(err, ErrRevoked) {
+					t.Errorf("rank %d: expected ErrProcFailed or ErrRevoked after watchdog abort, got %v", c.Rank(), err)
+				}
+				must(t, c.Revoke())
+				if _, err := c.Shrink(); err != nil {
+					t.Errorf("rank %d: shrink after abort: %v", c.Rank(), err)
+				}
+				if _, err := c.Agree(1); !errors.Is(err, ErrProcFailed) {
+					t.Errorf("rank %d: agree after abort: expected ErrProcFailed, got %v", c.Rank(), err)
+				}
+			},
+		})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("Run did not return: a rendezvous entered only by dead members never resolved")
+	}
+}
+
 // TestWatchdogQuietOnCleanRun checks the watchdog never fires on a healthy
 // run, including one with a real failure and repair traffic.
 func TestWatchdogQuietOnCleanRun(t *testing.T) {

@@ -42,16 +42,13 @@
 // parks only if the epoch is unchanged since before the checks — so a wake
 // that races with the checks is never lost.
 //
-// Every wake site funnels through procState.notifyLocked, which serves two
-// blocking disciplines behind one protocol: a goroutine-per-rank process
-// sleeping on its condvar (Options.Entry), and a parked continuation on the
-// event-driven path (Options.EventEntry; see event.go and exec.go), which
-// notifyLocked hands back to the bounded executor instead. See DESIGN.md
-// §13 for the continuation protocol.
+// Every wake site funnels through procState.notifyLocked, which bumps the
+// epoch and signals the owning goroutine's condvar.
 package mpi
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -94,33 +91,18 @@ type procState struct {
 	waitSrc int
 	waitTag int
 	waitReq *Request
-	// cont is the rank's parked continuation on the event-driven path
-	// (nil while runnable, queued, or on the goroutine path). A fiber is
-	// published here only by its own park in World.driveFiber; notifyLocked
-	// unparks it by handing it to the executor, so a fiber is never queued
-	// twice. See event.go.
-	cont *Fiber
 }
 
 // notifyLocked is the single wake primitive behind every unblock-capable
-// event: it bumps the epoch, signals the condvar (goroutine path — one
-// goroutine owns each process, so there is at most one waiter and Signal
-// suffices), and hands a parked continuation back to the executor (event
-// path). Caller holds st.mu; the executor queue lock nests strictly inside
-// every transport lock.
+// event: it bumps the epoch and signals the condvar. One goroutine owns each
+// process, so there is at most one waiter and Signal suffices. Caller holds
+// st.mu.
 func (st *procState) notifyLocked() {
 	st.epoch++
 	st.cond.Signal()
-	if f := st.cont; f != nil {
-		st.cont = nil
-		st.waitSh = nil
-		st.w.noteParked(-1)
-		st.w.exec.ready(f)
-	}
 }
 
-// wake bumps the process's epoch and wakes it (condvar or parked
-// continuation) under its own lock.
+// wake bumps the process's epoch and wakes it under its own lock.
 func (st *procState) wake() {
 	st.mu.Lock()
 	st.notifyLocked()
@@ -142,12 +124,7 @@ type World struct {
 	machine *vtime.Machine
 	cluster *topo.Cluster
 	entry   func(*Proc)
-	// eventEntry is the fiber program of the event-driven path (nil on the
-	// goroutine path). spawnLocked/claimLocked dispatch children through it
-	// via startProcLocked, so re-spawned replacements and claimed spares run
-	// as fibers on the same executor as the initial ranks.
-	eventEntry func(*Proc, *Fiber)
-	wm         *worldMetrics // nil when instrumentation is disabled
+	wm      *worldMetrics // nil when instrumentation is disabled
 
 	// linkAlpha/linkBeta are the machine's per-tier LogGP parameters,
 	// resolved once at Run so the send hot path indexes an array instead of
@@ -165,21 +142,19 @@ type World struct {
 	// SpawnMultiple publishes a grown copy while holding state.
 	procs atomic.Pointer[[]*procState]
 
-	// exec is the bounded continuation executor of the event-driven path
-	// (nil on the goroutine path). goroPeak tracks the high-water mark of
-	// runtime.NumGoroutine() over the run; parkedNow counts ranks currently
-	// parked as continuations. Both feed the mpi.goroutines.peak and
-	// mpi.ranks.parked gauges and the introspection snapshot.
-	exec      *executor
-	goroPeak  atomic.Int64
-	parkedNow atomic.Int64
+	// goroPeak tracks the high-water mark of runtime.NumGoroutine() over
+	// the run (Report.GoroutinesPeak).
+	goroPeak atomic.Int64
 
 	state      sync.RWMutex
 	nextCommID int
 	rvzTable   map[rvzKey]*rendezvous
 	mergeTable map[rvzKey]*mergeEntry
 	failed     []int // world ranks, in failure order
-	spawned    int
+	// deaths counts processes taken out of the job (failures and normal
+	// exits alike); rendezvous stamp their cached member walk with it.
+	deaths  uint64
+	spawned int
 	// spareFree holds the world ranks of parked spare processes not yet
 	// claimed, in creation order; sparesUsed counts claims. Both guarded by
 	// state, like spawned.
@@ -242,22 +217,8 @@ type Options struct {
 	Cluster *topo.Cluster
 	// Entry is the program run by every process, including re-spawned
 	// ones (which see a non-nil Proc.Parent, like a process started by
-	// MPI_Comm_spawn_multiple). Exactly one of Entry and EventEntry must
-	// be set.
+	// MPI_Comm_spawn_multiple). Required.
 	Entry func(*Proc)
-	// EventEntry selects the event-driven path: instead of one goroutine
-	// per rank, every rank is a continuation-passing fiber driven by a
-	// bounded executor pool, and blocking operations park the rank as a
-	// registered completion rather than a sleeping goroutine stack. The
-	// program uses the Fiber* operations for anything that blocks
-	// (FiberRecv, FiberBarrier, FiberAllreduce, FiberAgree, ...); sends
-	// and compute charges never block and work unchanged. See event.go.
-	EventEntry func(*Proc, *Fiber)
-	// EventWorkers bounds the executor pool of the event-driven path;
-	// <= 0 selects runtime.GOMAXPROCS(0) (the harness.ParallelOrdered
-	// discipline — one worker runs inline on the caller, so a
-	// single-worker run spawns no extra goroutines).
-	EventWorkers int
 	// Metrics, when non-nil, attaches instrumentation: message/byte
 	// counters, per-rank totals, per-op virtual-latency histograms and
 	// cost attribution per model component (see internal/mpi/metrics.go
@@ -281,7 +242,7 @@ type Options struct {
 	// SpareRanks pre-allocates that many extra processes parked at startup:
 	// they are not members of MPI_COMM_WORLD and run no code until a
 	// Comm.ClaimSpares wakes them as replacements (the substitute recovery
-	// mode), on either execution path.
+	// mode).
 	SpareRanks int
 	// SpareHosts names the hosts the spare processes are placed on, cycled
 	// when shorter than SpareRanks; empty places every spare on host 0.
@@ -301,25 +262,20 @@ type Report struct {
 	// ClaimSpares (the substitute recovery mode).
 	SparesUsed int
 	// GoroutinesPeak is the high-water mark of runtime.NumGoroutine()
-	// sampled over the run — the goroutine-per-rank path holds O(ranks),
-	// the event-driven path O(EventWorkers). Wall-clock-dependent;
-	// excluded from every determinism fingerprint.
+	// sampled over the run: O(ranks), one goroutine per process.
+	// Wall-clock-dependent; excluded from every determinism fingerprint.
 	GoroutinesPeak int
 }
 
-// Run executes Entry (one goroutine per rank) or EventEntry (the
-// event-driven continuation path) on NProcs simulated processes and blocks
-// until every process (including spawned replacements) has returned or
-// died.
+// Run executes Entry on NProcs simulated processes, one goroutine each, and
+// blocks until every process (including spawned replacements) has returned
+// or died.
 func Run(o Options) (*Report, error) {
 	if o.NProcs <= 0 {
 		return nil, fmt.Errorf("mpi: NProcs must be positive, got %d", o.NProcs)
 	}
-	if o.Entry == nil && o.EventEntry == nil {
-		return nil, fmt.Errorf("mpi: one of Entry and EventEntry must be set")
-	}
-	if o.Entry != nil && o.EventEntry != nil {
-		return nil, fmt.Errorf("mpi: Entry and EventEntry are mutually exclusive")
+	if o.Entry == nil {
+		return nil, fmt.Errorf("mpi: Entry must not be nil")
 	}
 	m := o.Machine
 	if m == nil {
@@ -333,12 +289,11 @@ func Run(o Options) (*Report, error) {
 		return nil, fmt.Errorf("mpi: cluster has %d slots for %d processes", cl.Slots(), o.NProcs)
 	}
 	w := &World{
-		machine:    m,
-		cluster:    cl,
-		entry:      o.Entry,
-		eventEntry: o.EventEntry,
-		wm:         newWorldMetrics(o.Metrics),
-		flatColl:   o.FlatCollectives,
+		machine:  m,
+		cluster:  cl,
+		entry:    o.Entry,
+		wm:       newWorldMetrics(o.Metrics),
+		flatColl: o.FlatCollectives,
 	}
 	for t := vtime.LinkTier(0); t < vtime.NumTiers; t++ {
 		w.linkAlpha[t], w.linkBeta[t] = m.LinkAlphaBeta(t)
@@ -368,7 +323,7 @@ func Run(o Options) (*Report, error) {
 		// Spares are parked as data: alive, in the process table (so claimed
 		// ones get ordinary world ranks below the spawn range), but members
 		// of no communicator and running no code until ClaimSpares launches
-		// them on whichever execution path the world runs.
+		// them.
 		spares := make([]procState, o.SpareRanks)
 		for i := 0; i < o.SpareRanks; i++ {
 			host := 0
@@ -414,16 +369,12 @@ func Run(o Options) (*Report, error) {
 		go w.watch(o.Watchdog, done)
 	}
 
-	if o.EventEntry != nil {
-		w.runEvent(o, hands)
-	} else {
-		for r := range hands {
-			w.wg.Add(1)
-			go w.runProc(&hands[r])
-		}
-		w.noteGoroutines()
-		w.wg.Wait()
+	for r := range hands {
+		w.wg.Add(1)
+		go w.runProc(&hands[r])
 	}
+	w.noteGoroutines()
+	w.wg.Wait()
 	w.noteGoroutines()
 
 	w.state.Lock()
@@ -437,23 +388,17 @@ func Run(o Options) (*Report, error) {
 	}, nil
 }
 
-// startProcLocked launches a freshly created process on whichever execution
-// path the world runs: a goroutine on the Entry path, or a fiber reserved on
-// and enqueued to the bounded executor on the EventEntry path. Caller holds
-// World.state (write); executor.mu is a strict leaf, so the reserve/ready
-// pair nests fine. On the event path the caller is a rendezvous builder
-// whose own members' fibers are still accounted active, so the reservation
-// can never observe a shut-down executor (see executor.reserve).
-func (w *World) startProcLocked(p *Proc) {
-	if w.eventEntry != nil {
-		f := &Fiber{p: p}
-		f.start = func() { w.eventEntry(p, f) }
-		w.exec.reserve(1)
-		w.exec.ready(f)
-		return
+// noteGoroutines folds the current runtime.NumGoroutine() into the run's
+// high-water mark. The value is wall-clock noise, so it never enters golden
+// outputs or fingerprints.
+func (w *World) noteGoroutines() {
+	n := int64(runtime.NumGoroutine())
+	for {
+		cur := w.goroPeak.Load()
+		if n <= cur || w.goroPeak.CompareAndSwap(cur, n) {
+			return
+		}
 	}
-	w.wg.Add(1)
-	go w.runProc(p)
 }
 
 // runProc wraps a process's entry, translating Kill panics into fail-stop
@@ -502,6 +447,7 @@ func (w *World) markFailed(st *procState) {
 // Caller holds state (write).
 func (w *World) endProc(st *procState, record bool) {
 	st.alive.Store(false)
+	w.deaths++
 	if record {
 		w.failed = append(w.failed, st.wrank)
 	}

@@ -172,14 +172,6 @@ func (s *ParallelSolver) Step() error {
 	if err := s.exchangeHalos(); err != nil {
 		return err
 	}
-	s.update()
-	return nil
-}
-
-// update applies the Lax–Wendroff stencil to the owned rows (halos must be
-// fresh) and advances the step counter — the purely local half of Step,
-// shared with the event path's FiberStep.
-func (s *ParallelSolver) update() {
 	nloc := s.r1 - s.r0
 	cx := s.Prob.Ax * s.Dt * float64(s.nx)
 	cy := s.Prob.Ay * s.Dt * float64(s.ny)
@@ -206,6 +198,7 @@ func (s *ParallelSolver) update() {
 	if s.Charge != nil {
 		s.Charge(nloc * nx)
 	}
+	return nil
 }
 
 // Run advances n steps, stopping at the first error.
@@ -230,7 +223,23 @@ func (s *ParallelSolver) Gather(root int) (*grid.Grid, error) {
 	if s.Comm.Rank() != root {
 		return nil, nil
 	}
-	return s.assemble(pieces)
+	g := grid.New(s.Lv)
+	row := 0
+	for r, piece := range pieces {
+		wantRows := func() int { a, b := rowsFor(r, s.Comm.Size(), s.ny); return b - a }()
+		if len(piece) != wantRows*s.nx {
+			return nil, fmt.Errorf("pde: Gather: rank %d sent %d values, want %d", r, len(piece), wantRows*s.nx)
+		}
+		for k := 0; k < wantRows; k++ {
+			copy(g.V[row*g.Nx:row*g.Nx+s.nx], piece[k*s.nx:(k+1)*s.nx])
+			g.V[row*g.Nx+s.nx] = piece[k*s.nx] // duplicate column
+			row++
+		}
+		mpi.ReleaseBuf(piece) // Gather hands ownership of every piece to root
+	}
+	// Duplicate row.
+	copy(g.V[s.ny*g.Nx:], g.V[:g.Nx])
+	return g, nil
 }
 
 // State returns a copy of the owned rows (no halos), for checkpointing and

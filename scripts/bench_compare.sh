@@ -5,7 +5,7 @@
 #
 #   ./scripts/bench_compare.sh BENCH_pr2.json BENCH_pr3.json
 #   BENCH_MAX_REGRESSION=10 ./scripts/bench_compare.sh old.json new.json
-#   BENCH_ALLOC_ALLOWLIST='WeakScaleEvent|Checkpoint' ./scripts/bench_compare.sh old.json new.json
+#   BENCH_ALLOC_ALLOWLIST='WeakScaleRepair|Checkpoint' ./scripts/bench_compare.sh old.json new.json
 #
 # The default threshold is 25% for both gates. Times are machine-dependent,
 # so run both snapshots on the same host; allocs/op is deterministic and is
