@@ -376,35 +376,6 @@ func BenchmarkAblationCombine(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationDecomposition compares the 1D row-band decomposition
-// with the 2D Cartesian block decomposition in total virtual time (the 2D
-// variant exchanges less halo data per process at scale, at the cost of
-// more messages).
-func BenchmarkAblationDecomposition(b *testing.B) {
-	b.ReportAllocs()
-	for _, twoD := range []bool{false, true} {
-		name := "rows-1d"
-		if twoD {
-			name = "blocks-2d"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			var total float64
-			for i := 0; i < b.N; i++ {
-				res := runBench(b, core.Config{
-					Technique: core.AlternateCombination,
-					DiagProcs: 8,
-					Steps:     benchSteps,
-					Decomp2D:  twoD,
-					Seed:      int64(191 + i),
-				})
-				total += res.TotalTime
-			}
-			b.ReportMetric(total/float64(b.N), "total-vsec/op")
-		})
-	}
-}
-
 // BenchmarkAccumulateSampled measures the combination hot kernel at the
 // full-grid target size used by every combine: bilinear resampling of a
 // sub-grid accumulated into the target. The row-separable kernel reuses
@@ -455,13 +426,12 @@ func BenchmarkHarnessParallel(b *testing.B) {
 }
 
 // BenchmarkAblationCheckpointBackend compares the checkpoint store's
-// backends and write modes on a CR run with one real failure and a Young
-// interval short enough that several generations are written and recovery
-// reads one back. Virtual-time results are identical across all four cells
-// by construction — the accounting model charges the same TIO costs either
-// way — so ns/op isolates the real storage cost: the mem backend removes
-// filesystem traffic entirely, and async write-behind overlaps what
-// remains with compute.
+// backends on a CR run with one real failure and a Young interval short
+// enough that several generations are written and recovery reads one back.
+// Virtual-time results are identical across both cells by construction —
+// the accounting model charges the same TIO costs either way — so ns/op
+// isolates the real storage cost: the mem backend removes filesystem
+// traffic entirely.
 func BenchmarkAblationCheckpointBackend(b *testing.B) {
 	base := core.Config{
 		Technique:    core.CheckpointRestart,
@@ -475,22 +445,13 @@ func BenchmarkAblationCheckpointBackend(b *testing.B) {
 	filled := base.WithDefaults()
 	stepTime := filled.EstimateStepTime()
 	base.MTBF = math.Pow(8*stepTime, 2) / (2 * filled.Machine.TIOWrite)
-	for _, bc := range []struct {
-		name, backend string
-		async         bool
-	}{
-		{"dir", "dir", false},
-		{"dir-async", "dir", true},
-		{"mem", "mem", false},
-		{"mem-async", "mem", true},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
+	for _, backend := range []string{"dir", "mem"} {
+		b.Run(backend, func(b *testing.B) {
 			b.ReportAllocs()
 			var total float64
 			for i := 0; i < b.N; i++ {
 				cfg := base
-				cfg.CheckpointBackend = bc.backend
-				cfg.CheckpointAsync = bc.async
+				cfg.CheckpointBackend = backend
 				res := runBench(b, cfg)
 				total += res.TotalTime
 			}

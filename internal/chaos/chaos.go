@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -15,6 +16,7 @@ import (
 	"ftsg/internal/metrics"
 	"ftsg/internal/mpi"
 	"ftsg/internal/recovery"
+	"ftsg/internal/telemetry"
 	"ftsg/internal/trace"
 )
 
@@ -127,13 +129,15 @@ func ParseTechniques(s string) ([]core.Technique, error) {
 }
 
 type runOut struct {
-	res *core.Result
-	fp  Fingerprint
-	reg *metrics.Registry
+	res    *core.Result
+	fp     Fingerprint
+	reg    *metrics.Registry
+	killed []int // original ranks whose scheduled death actually ran, ascending
 }
 
 // runOnce executes one configuration with full instrumentation attached and
-// returns its result plus replay fingerprint. A deadlock trips the watchdog,
+// returns its result plus replay fingerprint and the ranks the run's
+// fault-inject journal events say were killed. A deadlock trips the watchdog,
 // which dumps every rank's blocked operation and the repro line to stderr
 // before aborting the job; the abort surfaces as rank errors, so a stalled
 // run never hangs the campaign.
@@ -143,8 +147,10 @@ func runOnce(cfg core.Config, label, repro string, stallTimeout time.Duration) (
 	}
 	reg := metrics.New()
 	rec := trace.New(nil)
+	journal := telemetry.NewJournal()
 	cfg.Metrics = reg
 	cfg.Trace = rec
+	cfg.Journal = journal
 	cfg.Watchdog = mpi.Watchdog{
 		Timeout: stallTimeout,
 		OnStall: func(dump string) {
@@ -162,8 +168,9 @@ func runOnce(cfg core.Config, label, repro string, stallTimeout time.Duration) (
 		return runOut{}, fmt.Errorf("trace export: %w", err)
 	}
 	return runOut{
-		res: res,
-		reg: reg,
+		res:    res,
+		reg:    reg,
+		killed: killedRanks(journal),
 		fp: Fingerprint{
 			TotalTime: math.Float64bits(res.TotalTime),
 			L1:        math.Float64bits(res.L1Error),
@@ -171,6 +178,20 @@ func runOnce(cfg core.Config, label, repro string, stallTimeout time.Duration) (
 			Trace:     tb.String(),
 		},
 	}, nil
+}
+
+// killedRanks returns the distinct ranks of the journal's fault-inject
+// events, ascending: the deaths that really happened, whichever plan (step
+// or operation count) scheduled them.
+func killedRanks(j *telemetry.Journal) []int {
+	var out []int
+	for _, e := range j.Entries() {
+		if e.Kind == "fault-inject" {
+			out = append(out, e.Rank)
+		}
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // FingerprintOf runs the chaos configuration of one (seed, technique) cell
@@ -295,12 +316,13 @@ func checkMode(seed int64, tech core.Technique, mode byte, rmode recovery.Mode, 
 
 	// Invariant: the failure report is sane. Rank 0 is never a victim (the
 	// generators protect it), every replacement corresponds to a reported
-	// failure, and every scheduled death is accounted for in the mode's own
-	// currency — a spawned replacement under spawn, a failed original rank
-	// under shrink/no-repair (no replacement, so a rank dies at most once
-	// and the union matches the schedule), at least one reported failure
-	// under substitute (a substituted position can be re-killed, collapsing
-	// the union).
+	// failure, and every death that actually ran (the journal's fault-inject
+	// events) is accounted for in the mode's own currency — a spawned
+	// replacement under spawn, a reported failed original rank under every
+	// other mode. The journal, not the schedule, is the reference: an
+	// operation-count victim whose count falls in a phase where the hook is
+	// disarmed never dies, and must not be reported. Spawn additionally
+	// keeps the schedule's lower bound (MinSpawned).
 	for _, r := range res.FailedRanks {
 		if r == 0 {
 			violate("rank 0 reported as failed: %v", res.FailedRanks)
@@ -318,6 +340,9 @@ func checkMode(seed int64, tech core.Technique, mode byte, rmode recovery.Mode, 
 		if res.Spawned < min {
 			violate("spawned %d replacements, scenario schedules at least %d deaths", res.Spawned, min)
 		}
+		if res.Spawned < len(run1.killed) {
+			violate("spawned %d replacements for %d deaths %v", res.Spawned, len(run1.killed), run1.killed)
+		}
 	case recovery.ModeSubstitute:
 		if res.Spawned != 0 {
 			violate("spawned %d replacements under substitute", res.Spawned)
@@ -332,6 +357,11 @@ func checkMode(seed int64, tech core.Technique, mode byte, rmode recovery.Mode, 
 		if res.FinalProcs != res.Procs {
 			violate("substitute final size %d, want restored %d", res.FinalProcs, res.Procs)
 		}
+		for _, k := range run1.killed {
+			if !slices.Contains(res.FailedRanks, k) {
+				violate("rank %d was killed but not reported: failed ranks %v", k, res.FailedRanks)
+			}
+		}
 		if res.SparesUsed < len(res.FailedRanks) {
 			violate("substitute consumed %d spares for %d failures", res.SparesUsed, len(res.FailedRanks))
 		}
@@ -339,8 +369,8 @@ func checkMode(seed int64, tech core.Technique, mode byte, rmode recovery.Mode, 
 		if res.Spawned != 0 || res.SparesUsed != 0 {
 			violate("%s run replaced processes: spawned %d, spares %d", rmode, res.Spawned, res.SparesUsed)
 		}
-		if len(res.FailedRanks) < min {
-			violate("reported %d failed ranks, scenario schedules at least %d deaths", len(res.FailedRanks), min)
+		if !slices.Equal(res.FailedRanks, run1.killed) {
+			violate("%s reported failed ranks %v, killed %v", rmode, res.FailedRanks, run1.killed)
 		}
 		if res.FinalProcs != res.Procs-len(res.FailedRanks) {
 			violate("%s final size %d, want %d minus %d failed", rmode, res.FinalProcs, res.Procs, len(res.FailedRanks))

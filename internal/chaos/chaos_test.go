@@ -324,3 +324,39 @@ func TestCheckpointCorruptionFallbackObserved(t *testing.T) {
 			seed, sc.CkptFaults.ReadCorrupt)
 	}
 }
+
+// TestKillDuringRecoveryOracleIsExact pins both sides of the
+// kill-during-recovery oracle on seed 18 (RC, shrink): core disarms the
+// operation hook after the repair window, so a victim whose count lands
+// inside the window dies and must be reported, while one whose count lands
+// past it survives and must not be. The journal's fault-inject events, not
+// the schedule, say which deaths ran.
+func TestKillDuringRecoveryOracleIsExact(t *testing.T) {
+	for _, c := range []struct {
+		afterOps int
+		deaths   int
+	}{
+		{2, 3}, // inside shrink's repair window: step victims plus the op victim
+		{6, 2}, // past the window: the op victim outlives its count
+	} {
+		sc := NewScenario(18)
+		if sc.Mode != ModeKillDuringRecovery || len(sc.OpEvents) != 1 {
+			t.Fatalf("seed 18 drew %s, want one kill-during-recovery event", sc)
+		}
+		sc.OpEvents[0].AfterOps = c.afterOps
+		cfg := sc.ConfigForRecovery(core.ResamplingCopying, recovery.ModeShrink)
+		out, err := runOnce(cfg, "oracle", "", 0)
+		if err != nil {
+			t.Fatalf("AfterOps %d: %v", c.afterOps, err)
+		}
+		if len(out.killed) != c.deaths {
+			t.Errorf("AfterOps %d: journal shows kills %v, want %d", c.afterOps, out.killed, c.deaths)
+		}
+		if !reflect.DeepEqual(out.res.FailedRanks, out.killed) {
+			t.Errorf("AfterOps %d: reported failed ranks %v, killed %v", c.afterOps, out.res.FailedRanks, out.killed)
+		}
+		if want := out.res.Procs - len(out.killed); out.res.FinalProcs != want {
+			t.Errorf("AfterOps %d: final size %d, want %d", c.afterOps, out.res.FinalProcs, want)
+		}
+	}
+}

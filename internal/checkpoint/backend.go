@@ -12,7 +12,7 @@ import (
 
 // Backend is the storage layer under a Store: a flat namespace of
 // checkpoint blobs. Implementations must be safe for concurrent use by
-// the simulated ranks of a run (and the store's write-behind goroutine).
+// the simulated ranks of a run.
 //
 // The Store treats a Backend as unreliable: Put may fail or persist torn
 // data, Get may return corrupt bytes — the generational fallback above is

@@ -6,9 +6,9 @@ import (
 	"path/filepath"
 	"testing"
 
-	"ftsg/internal/vtime"
-
+	"ftsg/internal/metrics"
 	"ftsg/internal/mpi"
+	"ftsg/internal/vtime"
 )
 
 // TestOpenDirSweepsOrphanTmp: temp files left behind by an interrupted
@@ -64,7 +64,8 @@ func TestStoreSurvivesPutFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Open(Options{Backend: b})
+	reg := metrics.New()
+	s, err := Open(Options{Backend: b, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,6 +92,9 @@ func TestStoreSurvivesPutFailure(t *testing.T) {
 			t.Errorf("got (%d, %g), want surviving generation (10, 1)", step, data[0])
 		}
 	})
+	if got := reg.Counter("checkpoint.write.errors").Value(); got != 1 {
+		t.Errorf("checkpoint.write.errors = %d, want 1", got)
+	}
 }
 
 func TestDirPeek(t *testing.T) {

@@ -158,7 +158,6 @@ func Run(cfg Config) (*Result, error) {
 		store, err := checkpoint.Open(checkpoint.Options{
 			Backend:     cfg.CheckpointFaults.Wrap(backend),
 			Generations: cfg.CheckpointGenerations,
-			Async:       cfg.CheckpointAsync,
 			Metrics:     reg,
 		})
 		if err != nil {
@@ -432,27 +431,21 @@ func (rs *runState) rank(p *mpi.Proc) error {
 		return err
 	}
 
-	build := func(w *mpi.Comm) (*mpi.Comm, pde.Solver, error) {
+	build := func(w *mpi.Comm) (*mpi.Comm, *pde.ParallelSolver, error) {
 		gc, err := w.Split(mine.ID, rank)
 		if err != nil {
 			return nil, nil, fmt.Errorf("group split: %w", err)
 		}
-		var s pde.Solver
-		if cfg.Decomp2D {
-			px, py := decompDims(gc.Size(), mine.Lv)
-			s, err = pde.NewParallelSolver2D(gc, rs.prob, mine.Lv, rs.dt, px, py)
-		} else {
-			s, err = pde.NewParallelSolver(gc, rs.prob, mine.Lv, rs.dt)
-		}
+		s, err := pde.NewParallelSolver(gc, rs.prob, mine.Lv, rs.dt)
 		if err != nil {
 			return nil, nil, err
 		}
-		s.SetCharge(charge)
+		s.Charge = charge
 		return gc, s, nil
 	}
 
 	var gcomm *mpi.Comm
-	var solver pde.Solver
+	var solver *pde.ParallelSolver
 	if replacement {
 		// Rejoin the survivors: learn the detection step and failed ranks,
 		// rebuild the group communicator, and take part in data recovery
@@ -478,7 +471,6 @@ func (rs *runState) rank(p *mpi.Proc) error {
 		if err != nil {
 			return err
 		}
-		rs.flushCheckpoints(p, rank, cur)
 		if err := rs.recoverData(p, world, gcomm, solver, mine, failedList, cur, epoch, mc, rs.activeRecoverIDs(mc, failedList)); err != nil {
 			return err
 		}
@@ -497,8 +489,10 @@ func (rs *runState) rank(p *mpi.Proc) error {
 	// combination. Its op count persists across windows. Replacements never
 	// poll or hook: their predecessor already died.
 	var opHook mpi.OpHook
-	if !replacement {
-		opHook = rs.opPlan.Hook(p, rank)
+	if !replacement && rs.opPlan.IsVictim(rank) {
+		opHook = rs.opPlan.Hook(p, rank, func(op string) {
+			journal.Emit(p.Now(), rank, epoch, "fault-inject", slog.String("op", op))
+		})
 	}
 
 	// gridLost marks this rank's sub-grid as dead: set transiently when a
@@ -530,12 +524,9 @@ func (rs *runState) rank(p *mpi.Proc) error {
 			if !gridLost {
 				if err := solver.Step(); err != nil {
 					// A group member died mid-solve: revoke the group
-					// communicators (both the split result and the solver's
-					// working communicator — the 2D solver runs on a
-					// Cartesian duplicate) so blocked peers stop too,
-					// abandon the grid, and wait for global detection.
+					// communicator so blocked peers stop too, abandon the
+					// grid, and wait for global detection.
 					gridLost = true
-					_ = solver.GroupComm().Revoke()
 					_ = gcomm.Revoke()
 				}
 			}
@@ -647,7 +638,7 @@ func (rs *runState) rank(p *mpi.Proc) error {
 				}
 			}
 			epoch++
-			oldState, oldStep := solver.State(), solver.Steps()
+			oldState, oldStep := solver.State(), solver.StepCount
 			gcomm, solver, err = build(world)
 			if err != nil {
 				return err
@@ -667,7 +658,6 @@ func (rs *runState) rank(p *mpi.Proc) error {
 					return err
 				}
 			}
-			rs.flushCheckpoints(p, rank, dp)
 			if err := rs.recoverData(p, world, gcomm, solver, mine, failedList, dp, epoch, mc, recoverIDs); err != nil {
 				return err
 			}
@@ -676,7 +666,7 @@ func (rs *runState) rank(p *mpi.Proc) error {
 		} else {
 			detectOverhead += st.ListTime
 			if cfg.Technique == CheckpointRestart && dp < cfg.Steps && !gridLost {
-				stateBuf = pde.AppendState(solver, stateBuf[:0])
+				stateBuf = solver.AppendState(stateBuf[:0])
 				ckSpan := cfg.Trace.BeginSpan(p.Now(), rank, "checkpoint", "write step %d", dp)
 				err := rs.store.Write(p, mine.ID, gcomm.Rank(), dp, stateBuf)
 				ckSpan.End(p.Now())
@@ -769,21 +759,6 @@ func (rs *runState) lostGridIDs(failedRanks []int) []int {
 	return out
 }
 
-// flushCheckpoints drains the store's write-behind queue at a
-// failure-detection point, under a trace span, so every checkpoint written
-// before the failure is durable before recovery reads it back. The barrier
-// costs no virtual time — the write latency was charged at Write-call time
-// — so sync and async runs stay byte-identical; the span is emitted in both
-// modes for the same reason.
-func (rs *runState) flushCheckpoints(p *mpi.Proc, rank, atStep int) {
-	if rs.store == nil {
-		return
-	}
-	sp := rs.cfg.Trace.BeginSpan(p.Now(), rank, "ckpt-flush", "drain write-behind queue at step %d", atStep)
-	rs.store.Flush()
-	sp.End(p.Now())
-}
-
 // agreeRestoreStep picks the newest checkpoint step that every member of
 // the group offers as a candidate, or 0 when no common step exists (restart
 // from the initial condition). Candidate lists are exchanged padded to the
@@ -844,7 +819,7 @@ func removeStep(cand []int, step int) []int {
 // partners communicate. Under a non-spawn mode (mc != nil) the caller passes
 // the broadcast-agreed active set (damaged minus abandoned) as recoverIDs
 // and the sub-grid addressing is translated through the position map.
-func (rs *runState) recoverData(p *mpi.Proc, world, gcomm *mpi.Comm, solver pde.Solver, mine SubGrid, failedRanks []int, atStep, epoch int, mc *modeCtx, recoverIDs []int) error {
+func (rs *runState) recoverData(p *mpi.Proc, world, gcomm *mpi.Comm, solver *pde.ParallelSolver, mine SubGrid, failedRanks []int, atStep, epoch int, mc *modeCtx, recoverIDs []int) error {
 	lost := rs.lostGridIDs(failedRanks)
 	if mc != nil {
 		lost = recoverIDs
@@ -892,7 +867,7 @@ func (rs *runState) recoverData(p *mpi.Proc, world, gcomm *mpi.Comm, solver pde.
 			if rerr != nil {
 				return rerr
 			}
-			if err := solver.Run(atStep - solver.Steps()); err != nil {
+			if err := solver.Run(atStep - solver.StepCount); err != nil {
 				return fmt.Errorf("core: CR recompute: %w", err)
 			}
 			return nil
@@ -967,7 +942,7 @@ func (rs *runState) recoverData(p *mpi.Proc, world, gcomm *mpi.Comm, solver pde.
 			}
 			cand = removeStep(cand, step)
 		}
-		if err := solver.Run(atStep - solver.Steps()); err != nil {
+		if err := solver.Run(atStep - solver.StepCount); err != nil {
 			return fmt.Errorf("core: CR recompute: %w", err)
 		}
 		return nil
@@ -1125,7 +1100,7 @@ func (rs *runState) computeScheme(p *mpi.Proc, lost []int, timeIt bool, mc *mode
 // contribution on the target grid and a single elementwise Reduce assembles
 // the combined solution. Config.SerialCombine selects the naive
 // ship-everything-to-rank-0 variant for the ablation benchmark.
-func (rs *runState) combinePhase(p *mpi.Proc, world, gcomm *mpi.Comm, solver pde.Solver, mine SubGrid, lost []int, mc *modeCtx) error {
+func (rs *runState) combinePhase(p *mpi.Proc, world, gcomm *mpi.Comm, solver *pde.ParallelSolver, mine SubGrid, lost []int, mc *modeCtx) error {
 	sp := rs.cfg.Trace.BeginSpan(p.Now(), traceRank(world, mc), "combine", "")
 	defer func() { sp.End(p.Now()) }()
 	scheme, err := rs.computeScheme(p, lost, world.Rank() == 0, mc)
@@ -1139,7 +1114,7 @@ func (rs *runState) combinePhase(p *mpi.Proc, world, gcomm *mpi.Comm, solver pde
 }
 
 // combineParallel is the gather-scatter combination of Section II-A.
-func (rs *runState) combineParallel(p *mpi.Proc, world, gcomm *mpi.Comm, solver pde.Solver, mine SubGrid, scheme combine.Scheme) error {
+func (rs *runState) combineParallel(p *mpi.Proc, world, gcomm *mpi.Comm, solver *pde.ParallelSolver, mine SubGrid, scheme combine.Scheme) error {
 	g, err := solver.Gather(0)
 	if err != nil {
 		return fmt.Errorf("core: combine gather: %w", err)
@@ -1184,7 +1159,7 @@ func (rs *runState) combineParallel(p *mpi.Proc, world, gcomm *mpi.Comm, solver 
 }
 
 // combineSerial ships every sub-grid to rank 0, which combines alone.
-func (rs *runState) combineSerial(p *mpi.Proc, world, gcomm *mpi.Comm, solver pde.Solver, mine SubGrid, lost []int, scheme combine.Scheme) error {
+func (rs *runState) combineSerial(p *mpi.Proc, world, gcomm *mpi.Comm, solver *pde.ParallelSolver, mine SubGrid, lost []int, scheme combine.Scheme) error {
 	g, err := solver.Gather(0)
 	if err != nil {
 		return fmt.Errorf("core: combine gather: %w", err)
@@ -1295,27 +1270,6 @@ func (rs *runState) mergeStats(st *recovery.Stats, failedList []int) {
 	if len(res.LostGrids) == 0 {
 		res.LostGrids = rs.lostGridIDs(failedList)
 	}
-}
-
-// decompDims picks a balanced 2D process grid for a sub-grid, giving the
-// larger factor to the longer grid dimension (and clamping so no dimension
-// gets more processes than cells).
-func decompDims(nprocs int, lv grid.Level) (px, py int) {
-	dims := mpi.DimsCreate(nprocs, 2) // largest first
-	nx, ny := 1<<lv.I, 1<<lv.J
-	if ny >= nx {
-		py, px = dims[0], dims[1]
-	} else {
-		px, py = dims[0], dims[1]
-	}
-	// Fall back to a 1D-like split if a dimension is oversubscribed.
-	if px > nx || py > ny {
-		if ny >= nprocs {
-			return 1, nprocs
-		}
-		return nprocs, 1
-	}
-	return px, py
 }
 
 func containsInt(xs []int, v int) bool {

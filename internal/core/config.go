@@ -184,10 +184,6 @@ type Config struct {
 	// extra layers; more layers tolerate deeper loss cascades at the cost
 	// of extra processes).
 	ExtraLayers int
-	// Decomp2D decomposes each sub-grid over a 2D Cartesian process grid
-	// (balanced MPI_Dims_create factors) instead of the default 1D row
-	// bands — the decomposition ablation.
-	Decomp2D bool
 	// SerialCombine ships every sub-grid to rank 0 for a serial
 	// combination instead of the default parallel gather-scatter — the
 	// baseline of the combine ablation benchmark.
@@ -235,11 +231,6 @@ type Config struct {
 	// keeps per (grid, rank); recovery falls back generation-by-generation
 	// past corrupt or torn checkpoints (0 = checkpoint.DefaultGenerations).
 	CheckpointGenerations int
-	// CheckpointAsync moves checkpoint commits off the simulated ranks'
-	// OS-thread critical path onto a write-behind queue, drained at
-	// failure-detection points. Virtual-time accounting is unchanged, so
-	// all outputs stay byte-identical; only wall-clock time changes.
-	CheckpointAsync bool
 	// CheckpointFaults, when non-nil, wraps the checkpoint backend with
 	// seeded fault injection (corrupt reads, torn writes, I/O errors) —
 	// the chaos campaign's checkpoint-corruption mode.

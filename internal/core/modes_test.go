@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"ftsg/internal/ftcomb"
 	"ftsg/internal/mpi"
 	"ftsg/internal/recovery"
+	"ftsg/internal/trace"
 )
 
 // modeCfg returns a quick real-failure configuration under the given
@@ -237,5 +239,50 @@ func TestNoRepairBaseline(t *testing.T) {
 	}
 	if res.L1Error <= 0 || res.L1Error > ftcomb.DegradedErrorFactor*base.L1Error {
 		t.Errorf("no-repair L1 %g outside (0, %gx baseline %g]", res.L1Error, ftcomb.DegradedErrorFactor, base.L1Error)
+	}
+}
+
+// TestShrinkRecoverySpansUseOriginalRank: a shrink renumbers communicator
+// positions, but every recovery span a survivor emits from the repair on
+// must land on its original rank's timeline — the one its solve, checkpoint
+// and combine spans use — so no timeline mixes two processes' spans.
+func TestShrinkRecoverySpansUseOriginalRank(t *testing.T) {
+	rec := trace.New(nil)
+	cfg := modeCfg(CheckpointRestart, recovery.ModeShrink)
+	cfg.Trace = rec
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.FailedRanks) != 1 || res.FailedRanks[0] == res.Procs-1 {
+		t.Fatalf("failed ranks %v of %d: the check needs a victim below the top rank", res.FailedRanks, res.Procs)
+	}
+	recoveryPhase := map[string]bool{"detect": true, "revoke": true, "shrink": true, "agree": true, "split": true, "merge": true, "claim": true}
+	spans := rec.Spans()
+	repairAt := math.Inf(1)
+	for _, s := range spans {
+		if s.Phase == "shrink" && s.Start < repairAt {
+			repairAt = s.Start
+		}
+	}
+	if math.IsInf(repairAt, 1) {
+		t.Fatal("no shrink span recorded")
+	}
+	detected := map[int]bool{}
+	for _, s := range spans {
+		if !recoveryPhase[s.Phase] || s.Start < repairAt {
+			continue
+		}
+		if !slices.Contains(res.Survivors, s.Rank) {
+			t.Errorf("%v span on timeline %d, not a surviving original rank %v", s.Phase, s.Rank, res.Survivors)
+		}
+		if s.Phase == "detect" {
+			detected[s.Rank] = true
+		}
+	}
+	for _, r := range res.Survivors {
+		if !detected[r] {
+			t.Errorf("survivor %d has no post-repair detect span on its own timeline", r)
+		}
 	}
 }

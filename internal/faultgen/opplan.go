@@ -140,8 +140,11 @@ func (p *OpPlan) IsVictim(rank int) bool {
 // world rank, or nil when the rank is not a victim. The closure keeps its
 // operation count across SetOpHook arm/disarm cycles, so the caller can
 // blank out program phases whose peers cannot tolerate a mid-operation death
-// without resetting the count. Install it only on the victim's own Proc.
-func (p *OpPlan) Hook(proc *mpi.Proc, rank int) mpi.OpHook {
+// without resetting the count. onKill, when non-nil, is called with the
+// fatal operation just before the kill, so the caller can record that the
+// death really happened (a victim whose count lands in a disarmed phase
+// never dies). Install it only on the victim's own Proc.
+func (p *OpPlan) Hook(proc *mpi.Proc, rank int, onKill func(op string)) mpi.OpHook {
 	if p == nil {
 		return nil
 	}
@@ -160,6 +163,9 @@ func (p *OpPlan) Hook(proc *mpi.Proc, rank int) mpi.OpHook {
 		}
 		n++
 		if n >= e.AfterOps {
+			if onKill != nil {
+				onKill(op)
+			}
 			proc.Kill()
 		}
 	}

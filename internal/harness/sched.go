@@ -38,11 +38,10 @@ type sched struct {
 }
 
 // ckptOpts is the sweep-wide checkpoint store configuration applied to
-// every run (harness Options CkptBackend/CkptGenerations/CkptAsync).
+// every run (harness Options CkptBackend/CkptGenerations).
 type ckptOpts struct {
 	backend     string
 	generations int
-	async       bool
 }
 
 func (c ckptOpts) apply(cfg *core.Config) {
@@ -51,9 +50,6 @@ func (c ckptOpts) apply(cfg *core.Config) {
 	}
 	if c.generations > 0 {
 		cfg.CheckpointGenerations = c.generations
-	}
-	if c.async {
-		cfg.CheckpointAsync = true
 	}
 }
 
@@ -95,7 +91,6 @@ func newSched(o Options) *sched {
 		ckpt: ckptOpts{
 			backend:     o.CkptBackend,
 			generations: o.CkptGenerations,
-			async:       o.CkptAsync,
 		},
 		shape: shapeOpts{
 			hosts: o.Hosts,

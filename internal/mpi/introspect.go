@@ -94,8 +94,6 @@ func (w *World) Snapshot() WorldSnapshot {
 		st.mu.Lock()
 		rs := RankSnapshot{WorldRank: st.wrank, Alive: st.alive.Load()}
 		switch {
-		case st.waitSh != nil && st.waitReq != nil:
-			rs.Blocked = fmt.Sprintf("Wait on posted recv, comm=%d", st.waitSh.id)
 		case st.waitSh != nil:
 			rs.Blocked = fmt.Sprintf("recv comm=%d src=%d tag=%d", st.waitSh.id, st.waitSrc, st.waitTag)
 		default:

@@ -134,11 +134,7 @@ func sendEnv[T any](c *Comm, dest, tag int, data []T, owned bool) error {
 		copyIn(env, st, data)
 	}
 	dst.mu.Lock()
-	if req := dst.posted.matchArrival(env); req != nil {
-		req.complete(env)
-	} else {
-		dst.mb.push(env)
-	}
+	dst.mb.push(env)
 	dst.notifyLocked()
 	dst.mu.Unlock()
 	return nil
@@ -231,7 +227,7 @@ func recvRaw[T any](c *Comm, src, tag int, internal bool) ([]T, Status, error) {
 			// detector's atomic snapshot last sees all the others already
 			// registered and resolves the group.
 			st.mu.Lock()
-			st.waitSh, st.waitSrc, st.waitTag, st.waitReq = c.sh, src, tag, nil
+			st.waitSh, st.waitSrc, st.waitTag = c.sh, src, tag
 			st.mu.Unlock()
 			if revokedDeadlock(c, st.wrank) {
 				st.mu.Lock()
@@ -247,7 +243,7 @@ func recvRaw[T any](c *Comm, src, tag int, internal bool) ([]T, Status, error) {
 
 		st.mu.Lock()
 		if st.epoch == e {
-			st.waitSh, st.waitSrc, st.waitTag, st.waitReq = c.sh, src, tag, nil
+			st.waitSh, st.waitSrc, st.waitTag = c.sh, src, tag
 			st.cond.Wait()
 		}
 		st.waitSh = nil
@@ -368,12 +364,7 @@ func revokedDeadlock(c *Comm, self int) bool {
 			dead = false // not blocked on this communicator; it may still send
 			break
 		}
-		if q.waitReq != nil {
-			if q.waitReq.done {
-				dead = false // a send already completed it; it will run on
-				break
-			}
-		} else if q.mb.peek(c.sh.id, q.waitSrc, q.waitTag) != nil {
+		if q.mb.peek(c.sh.id, q.waitSrc, q.waitTag) != nil {
 			dead = false // a matchable message is waiting; it will consume it
 			break
 		} else if pendingRecvVerdict(w, c.sh, q) {
@@ -473,6 +464,16 @@ func abortCollective(c *Comm, tag int) {
 	c.sh.hasAborts.Store(true)
 	w.wakeRanks(c.allMembers())
 	w.state.Unlock()
+}
+
+// Sendrecv performs a combined send and receive (MPI_Sendrecv), the idiom
+// of halo exchanges: both transfers proceed concurrently, so it cannot
+// deadlock against a partner doing the mirror-image call.
+func Sendrecv[S, R any](c *Comm, dest, sendTag int, data []S, src, recvTag int) ([]R, Status, error) {
+	if err := Send(c, dest, sendTag, data); err != nil {
+		return nil, Status{}, err
+	}
+	return Recv[R](c, src, recvTag)
 }
 
 // internalTag builds the reserved tag for collective kind k, instance seq.

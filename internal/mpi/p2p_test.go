@@ -81,6 +81,22 @@ func TestSendCopiesBuffer(t *testing.T) {
 	})
 }
 
+func TestSendrecvMirror(t *testing.T) {
+	runWorld(t, 4, func(p *Proc) {
+		c := p.World()
+		n := c.Size()
+		right := (c.Rank() + 1) % n
+		left := (c.Rank() - 1 + n) % n
+		// Everyone shifts a value to the right; no deadlock despite all
+		// ranks calling simultaneously.
+		got, st, err := Sendrecv[int, int](c, right, 5, []int{c.Rank()}, left, 5)
+		must(t, err)
+		if got[0] != left || st.Source != left {
+			t.Errorf("rank %d received %d from %d", c.Rank(), got[0], st.Source)
+		}
+	})
+}
+
 func TestTagMatching(t *testing.T) {
 	runWorld(t, 2, func(p *Proc) {
 		c := p.World()

@@ -2,7 +2,7 @@ package mpi
 
 // This file is the data plane of the sharded transport: pooled envelopes
 // with an unboxed payload representation, per-(comm,src,tag) indexed match
-// queues for mailboxes and posted receives, a per-sender slab allocator for
+// mailbox queues, a per-sender slab allocator for
 // small eager-send copies, and a typed buffer pool backing the zero-copy
 // ownership-transfer path (SendOwned / AcquireBuf / ReleaseBuf). The
 // locking hierarchy that coordinates it lives in world.go; buffer-ownership
@@ -260,104 +260,6 @@ func (mb *mailbox) drain() {
 	}
 }
 
-// reqQueue is a FIFO of posted receives sharing one signature.
-type reqQueue struct{ head, tail *Request }
-
-// postedSet indexes a process's posted nonblocking receives by their
-// (comm, src, tag) signature, wildcards included as posted. An arriving
-// message consults the at-most-four signatures that could match it and
-// completes the oldest posted request among them, preserving the MPI
-// posting-order matching rule. Guarded by the owning procState.mu.
-type postedSet struct {
-	q   map[mbKey]reqQueue
-	seq uint64
-}
-
-// add appends a request in posting order.
-func (ps *postedSet) add(r *Request) {
-	if ps.q == nil {
-		ps.q = make(map[mbKey]reqQueue)
-	}
-	r.pseq = ps.seq
-	ps.seq++
-	r.pnext = nil
-	k := mbKey{r.c.sh.id, r.src, r.tag}
-	q := ps.q[k]
-	if q.tail == nil {
-		q.head, q.tail = r, r
-	} else {
-		q.tail.pnext = r
-		q.tail = r
-	}
-	ps.q[k] = q
-}
-
-// matchArrival finds and removes the earliest-posted receive matching the
-// arriving envelope, or nil.
-func (ps *postedSet) matchArrival(env *envelope) *Request {
-	if len(ps.q) == 0 {
-		return nil
-	}
-	var best *Request
-	var bestKey mbKey
-	consider := func(k mbKey) {
-		if q, ok := ps.q[k]; ok && q.head != nil && (best == nil || q.head.pseq < best.pseq) {
-			best, bestKey = q.head, k
-		}
-	}
-	consider(mbKey{env.commID, env.src, env.tag})
-	consider(mbKey{env.commID, AnySource, env.tag})
-	if env.tag >= 0 { // a posted AnyTag matches user tags only
-		consider(mbKey{env.commID, env.src, AnyTag})
-		consider(mbKey{env.commID, AnySource, AnyTag})
-	}
-	if best == nil {
-		return nil
-	}
-	q := ps.q[bestKey]
-	q.head = best.pnext
-	if q.head == nil {
-		delete(ps.q, bestKey)
-	} else {
-		if q.tail == best {
-			q.tail = nil // unreachable: tail==best implies head was best
-		}
-		ps.q[bestKey] = q
-	}
-	best.pnext = nil
-	return best
-}
-
-// remove drops a request from the set (completion by error/cancellation).
-func (ps *postedSet) remove(r *Request) {
-	k := mbKey{r.c.sh.id, r.src, r.tag}
-	q, ok := ps.q[k]
-	if !ok {
-		return
-	}
-	var prev *Request
-	for cur := q.head; cur != nil; prev, cur = cur, cur.pnext {
-		if cur != r {
-			continue
-		}
-		if prev == nil {
-			q.head = cur.pnext
-		} else {
-			prev.pnext = cur.pnext
-		}
-		if q.tail == cur {
-			q.tail = prev
-		}
-		if q.head == nil {
-			delete(ps.q, k)
-		} else {
-			ps.q[k] = q
-		}
-		r.pnext = nil
-		return
-	}
-}
-
 // bufPools holds one sync.Pool of []T per element type, backing the
 // large-message paths: eager copies above eagerThreshold, the
 // ownership-transfer buffers of AcquireBuf/SendOwned, and the reduction
@@ -397,7 +299,7 @@ func putBuf[T any](b []T) {
 }
 
 // AcquireBuf returns a []T of length n from the transport's typed buffer
-// pool, for use with SendOwned/IsendOwned: fill it, send it, and never
+// pool, for use with SendOwned: fill it, send it, and never
 // touch it again. Contents are unspecified.
 func AcquireBuf[T any](n int) []T { return getBuf[T](n) }
 

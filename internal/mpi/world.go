@@ -24,8 +24,8 @@
 //     allocation. Read-locked briefly on failure checks; write-locked only
 //     by cold control-plane events (death, revoke, collective abort,
 //     rendezvous, spawn).
-//   - procState.mu, one per process, guards that process's mailbox, posted
-//     receives, wakeup epoch and blocked-receive descriptor. A send takes
+//   - procState.mu, one per process, guards that process's mailbox,
+//     wakeup epoch and blocked-receive descriptor. A send takes
 //     only the destination's mu; a receive only the caller's own.
 //   - World.procs is an atomic copy-on-write snapshot, read lock-free;
 //     procState.alive is atomic; procState.clock and slab are owner-only.
@@ -75,22 +75,19 @@ type procState struct {
 	opHook OpHook // operation observer; owner-only (see ophook.go)
 	curOp  string // collective in progress; owner-only (hop attribution)
 
-	mu     sync.Mutex
-	cond   sync.Cond // on mu; the owning goroutine is the only waiter
-	epoch  uint64    // bumped by every event that may unblock the owner
-	mb     mailbox
-	posted postedSet
-	// waitSh/waitSrc/waitTag/waitReq describe the receive this process is
+	mu    sync.Mutex
+	cond  sync.Cond // on mu; the owning goroutine is the only waiter
+	epoch uint64    // bumped by every event that may unblock the owner
+	mb    mailbox
+	// waitSh/waitSrc/waitTag describe the receive this process is
 	// blocked in (waitSh nil while runnable). They feed the
 	// revoked-communicator deadlock detector: when every live,
 	// non-quiesced member of a revoked communicator is blocked on it with
 	// no pending resolution, none of them can ever send again, so the
-	// whole group resolves to MPI_ERR_REVOKED. waitReq is set instead of
-	// waitSrc/waitTag when blocked in Wait on a posted receive.
+	// whole group resolves to MPI_ERR_REVOKED.
 	waitSh  *commShared
 	waitSrc int
 	waitTag int
-	waitReq *Request
 }
 
 // notifyLocked is the single wake primitive behind every unblock-capable

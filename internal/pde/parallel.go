@@ -28,12 +28,6 @@ type ParallelSolver struct {
 	// virtual compute time.
 	Charge func(cells int)
 
-	// Nonblocking switches the halo exchange to the Irecv-first overlapped
-	// idiom (post both receives, send both rows, wait) instead of the
-	// blocking send/recv sequence. Results are bitwise identical; only the
-	// communication schedule differs.
-	Nonblocking bool
-
 	// StepCount is the number of steps taken so far.
 	StepCount int
 
@@ -104,9 +98,6 @@ func (s *ParallelSolver) exchangeHalos() error {
 	}
 	up := (s.Comm.Rank() + 1) % p
 	down := (s.Comm.Rank() - 1 + p) % p
-	if s.Nonblocking {
-		return s.exchangeHalosNonblocking(up, down, top, bottom)
-	}
 	if err := mpi.Send(s.Comm, up, tagHaloUp, top); err != nil {
 		return err
 	}
@@ -125,43 +116,6 @@ func (s *ParallelSolver) exchangeHalos() error {
 	}
 	copy(s.local[(nloc+1)*s.nx:], upper)
 	mpi.ReleaseBuf(upper)
-	return nil
-}
-
-// exchangeHalosNonblocking is the overlapped variant: receives are posted
-// before any send, so arriving halo rows match immediately regardless of
-// neighbour pacing.
-func (s *ParallelSolver) exchangeHalosNonblocking(up, down int, top, bottom []float64) error {
-	nloc := s.r1 - s.r0
-	rLower, err := mpi.Irecv[float64](s.Comm, down, tagHaloUp)
-	if err != nil {
-		return err
-	}
-	rUpper, err := mpi.Irecv[float64](s.Comm, up, tagHaloDown)
-	if err != nil {
-		return err
-	}
-	sUp, err := mpi.Isend(s.Comm, up, tagHaloUp, top)
-	if err != nil {
-		return err
-	}
-	sDown, err := mpi.Isend(s.Comm, down, tagHaloDown, bottom)
-	if err != nil {
-		return err
-	}
-	if err := mpi.Waitall(sUp, sDown); err != nil {
-		return err
-	}
-	lower, _, err := mpi.Wait[float64](rLower)
-	if err != nil {
-		return err
-	}
-	copy(s.local[0:s.nx], lower)
-	upper, _, err := mpi.Wait[float64](rUpper)
-	if err != nil {
-		return err
-	}
-	copy(s.local[(nloc+1)*s.nx:], upper)
 	return nil
 }
 
@@ -248,7 +202,8 @@ func (s *ParallelSolver) State() []float64 {
 	return s.AppendState(nil)
 }
 
-// AppendState appends the owned rows to dst (StateAppender interface).
+// AppendState appends the owned rows to dst. With a buffer kept across
+// calls (AppendState(buf[:0])) periodic checkpointing is allocation-free.
 func (s *ParallelSolver) AppendState(dst []float64) []float64 {
 	nloc := s.r1 - s.r0
 	return append(dst, s.local[s.nx:(nloc+1)*s.nx]...)
@@ -280,12 +235,3 @@ func (s *ParallelSolver) SetFromGrid(g *grid.Grid, step int) error {
 	s.StepCount = step
 	return nil
 }
-
-// Steps returns the number of steps taken (Solver interface).
-func (s *ParallelSolver) Steps() int { return s.StepCount }
-
-// SetCharge installs the virtual-compute hook (Solver interface).
-func (s *ParallelSolver) SetCharge(f func(cells int)) { s.Charge = f }
-
-// GroupComm returns the solver's communicator (Solver interface).
-func (s *ParallelSolver) GroupComm() *mpi.Comm { return s.Comm }

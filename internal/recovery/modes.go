@@ -90,7 +90,7 @@ type ModeResult struct {
 // it cannot be aborted by a further failure — shrink completes among
 // whatever survives — so it always returns a usable (smaller) communicator.
 func RepairShrinkOnly(p *mpi.Proc, broken *mpi.Comm, st *Stats) (*mpi.Comm, []int, error) {
-	me := broken.Rank()
+	me := st.track(broken)
 	t0 := p.Now()
 	sp := st.span(t0, me, "revoke", "")
 	_ = broken.Revoke()
@@ -134,7 +134,7 @@ func RepairSubstitute(p *mpi.Proc, broken *mpi.Comm, st *Stats) (repaired *mpi.C
 		return nil, nil, false, err
 	}
 	totalFailed := len(failedRanks)
-	me := broken.Rank()
+	me := st.track(broken)
 
 	t0 := p.Now()
 	sp := st.span(t0, me, "claim", "%d spares", totalFailed)
@@ -249,10 +249,13 @@ func ReconstructMode(p *mpi.Proc, myWorld, parent *mpi.Comm, st *Stats, place Pl
 		}
 
 		reconstructed.SetErrhandler(handler)
+		if cur != nil {
+			st.orig, st.origSet = cur[reconstructed.Rank()], true
+		}
 		// Detection, exactly as in ReconstructPlaced: barrier first, agree
 		// last, so the repair decision is uniform across members.
 		t0 := p.Now()
-		sp := st.span(t0, reconstructed.Rank(), "detect", "barrier + agree round")
+		sp := st.span(t0, st.track(reconstructed), "detect", "barrier + agree round")
 		barrierErr := reconstructed.Barrier()
 		_, agreeErr := reconstructed.Agree(1)
 		sp.End(p.Now())

@@ -86,6 +86,23 @@ type Stats struct {
 	// modes keep per-mode repair-cost breakdowns. The spawn path leaves it
 	// empty and its series unchanged.
 	ModeLabel string
+
+	// orig, when origSet, is the caller's original (pre-shrink) rank.
+	// ReconstructMode derives it from origOf so a survivor's recovery spans
+	// land on the same timeline as the application's own spans, whatever
+	// position a shrink gives it; otherwise spans use the communicator
+	// position.
+	orig    int
+	origSet bool
+}
+
+// track returns the timeline the caller's spans land on while it works on
+// communicator c: its original rank when known, else its position in c.
+func (st *Stats) track(c *mpi.Comm) int {
+	if st.origSet {
+		return st.orig
+	}
+	return c.Rank()
 }
 
 // span opens a protocol-phase span on the stats' recorder; the returned
